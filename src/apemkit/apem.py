@@ -15,7 +15,15 @@ import numpy as np
 
 from .errors import InputShapeError, ZeroMapError
 from .explain import RelevanceMap
-from .netcore import Network, _check_input, forward, forward_logits_batch, input_gradient
+from .netcore import (
+    Conv2D,
+    Dense,
+    Network,
+    _check_input,
+    forward,
+    forward_logits_batch,
+    input_gradient,
+)
 
 
 @dataclass(frozen=True)
@@ -53,6 +61,29 @@ def direct(r_norm: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return r_norm * np.sign(grad)
 
 
+def _margin_slope_net(net: Network, reference_class: int) -> Network:
+    """Net whose logits bound how fast each margin logit_ref - logit_c moves.
+
+    Every affine layer takes |W| and a zero bias; the last one takes rows
+    |W[ref] - W[c]|. Fed |r_dir| * step, it returns per-class bounds L_c on
+    the change of the margin per step along the ray, whatever the activation
+    pattern, because relu, max-pool and clipping are 1-Lipschitz.
+    """
+    layers = []
+    last = len(net.layers) - 1
+    for i, layer in enumerate(net.layers):
+        if layer.kind == "dense":
+            w = layer.weight
+            w = np.abs(w[reference_class] - w) if i == last else np.abs(w)
+            layers.append(Dense(w, np.zeros(w.shape[0])))
+        elif layer.kind == "conv2d":
+            layers.append(Conv2D(np.abs(layer.weight), np.zeros(layer.weight.shape[0]),
+                                 layer.stride, layer.padding))
+        else:
+            layers.append(layer)
+    return Network(layers, net.input_shape)
+
+
 def find_epsilon(
     net: Network,
     image: np.ndarray,
@@ -64,11 +95,20 @@ def find_epsilon(
 ) -> tuple[int, bool]:
     """Smallest k in [1, cap] whose perturbation flips the prediction.
 
-    Perturbed image is image + r_dir * (k * step). Scans k upward in
-    exponentially growing, batch-evaluated blocks and returns the first
+    Perturbed image is image + r_dir * (k * step), clipped to [0, 1] with
+    clip. Scans k upward in batch-evaluated blocks and returns the first
     flipping k, so the result equals an exhaustive linear scan even when
     the flip predicate is non-monotone along the ray (transient flip
     pockets do occur). Returns (cap, True) if no k in [1, cap] flips.
+
+    Steps that cannot flip are skipped. One pass through _margin_slope_net
+    gives L_c, a bound on how much logit_ref - logit_c changes per step.
+    An evaluated k_i with margins m_ic then certifies every
+    k < k_i + min_c (m_ic - 2g) / L_c, where the guard
+    g = 1e-6 * (1 + max|logits|) dwarfs float64 rounding in the logits.
+    The next block starts at the first k no evaluated row certifies; past
+    cap, the search returns (cap, True). Blocks start at 8 rows, double up
+    to 64 while nothing is skipped, and drop to 1 row after a skip.
     """
     if step <= 0:
         raise InputShapeError("step must be > 0")
@@ -82,38 +122,36 @@ def find_epsilon(
     if r_dir.shape != image.shape:
         raise InputShapeError(f"directed map shape {r_dir.shape} != image shape {image.shape}")
 
-    # The first affine layer commutes with the ray: L(x + c*r) = L(x) + c*(L(r) - bias),
-    # so its output along the ray is a precomputable affine function of c.
-    # Clipping acts on the raw input, so the shortcut only applies unclipped.
-    pre = None
-    first = net.layers[0]
-    if not clip and first.kind in ("conv2d", "dense"):
-        a0 = first.forward(image)[0]
-        bias = first.bias if first.kind == "dense" else first.bias[:, None, None]
-        b0 = first.forward(r_dir)[0] - bias
-        pre = (a0, b0)
+    others = np.arange(net.num_classes) != reference_class
+    slopes = forward_logits_batch(
+        _margin_slope_net(net, reference_class), (np.abs(r_dir) * step)[None]
+    )[0, others]
 
     start = 1
     block = 8
     while start <= cap:
         end = min(start + block - 1, cap)
         ks = np.arange(start, end + 1)
-        if pre is not None:
-            a0, b0 = pre
-            scale = (ks * step).reshape((-1,) + (1,) * a0.ndim)
-            xs = a0[None] + b0[None] * scale
-            logits = forward_logits_batch(net, xs, start=1)
-        else:
-            scale = (ks * step).reshape((-1,) + (1,) * image.ndim)
-            xs = image[None] + r_dir[None] * scale
-            if clip:
-                xs = np.clip(xs, 0.0, 1.0)
-            logits = forward_logits_batch(net, xs)
+        scale = (ks * step).reshape((-1,) + (1,) * image.ndim)
+        xs = image[None] + r_dir[None] * scale
+        if clip:
+            xs = np.clip(xs, 0.0, 1.0)
+        logits = forward_logits_batch(net, xs)
         flips = np.argmax(logits, axis=1) != reference_class
         if flips.any():
             return int(ks[int(np.argmax(flips))]), False
-        start = end + 1
-        block = min(block * 2, 256)  # bounded blocks keep memory flat
+        guard = 1e-6 * (1.0 + np.abs(logits).max())
+        room = (logits[:, [reference_class]] - logits)[:, others] - 2.0 * guard
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.where(room > 0, room / slopes, 0.0)  # room > 0, L_c = 0: inf
+        uncertified = np.ceil(np.max(ks + reach.min(axis=1, initial=np.inf)))
+        if uncertified > cap:
+            break
+        skipped = uncertified > end + 1
+        start = max(end + 1, int(uncertified))
+        # after a skip, one row's certificate mostly reaches past what a
+        # block would cover; otherwise grow blocks, bounded to keep memory flat
+        block = 1 if skipped else min(block * 2, 64)
     return cap, True
 
 

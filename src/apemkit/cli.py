@@ -443,39 +443,36 @@ def cmd_report(config_path, **kw):
     write_csv(out / "reports" / "summary_split.csv", header,
               summary_rows(stats_mod.summarize(rows, split_by_correct=True)))
 
-    # pairwise win/tie/loss fractions per stage
+    # pairwise win/tie/loss fractions and eps_plus difference histograms,
+    # per stage and method pair, over the images both measured
     by_method: dict[tuple, dict] = {}
+    by_method_eps: dict[tuple, dict] = {}
     for r in rows:
         if stats_mod.row_is_measured(r):
-            by_method.setdefault((r["method"], int(r["stage"])), {})[r["image_id"]] = float(r["gap"])
+            key = (r["method"], int(r["stage"]))
+            by_method.setdefault(key, {})[r["image_id"]] = float(r["gap"])
+            by_method_eps.setdefault(key, {})[r["image_id"]] = float(r["eps_plus"])
     pw_rows = []
+    diff_rows = []
     keys = sorted(by_method)
     for a in keys:
         for b in keys:
             if a[1] != b[1] or a[0] >= b[0]:
                 continue
+            if not by_method[a].keys() & by_method[b].keys():
+                # no shared image: nothing to compare, no histogram
+                pw_rows.append([a[0], b[0], a[1], "", "", "", 0,
+                                len(by_method[a].keys() | by_method[b].keys())])
+                continue
             pw = stats_mod.pairwise(by_method[a], by_method[b])
             pw_rows.append([a[0], b[0], a[1], pw.better, pw.equal, pw.worse,
                             pw.n_compared, pw.n_excluded])
-    write_csv(out / "reports" / "pairwise.csv",
-              ["method_a", "method_b", "stage", "better", "equal", "worse",
-               "n_compared", "n_excluded"], pw_rows)
-
-    # eps_plus difference histograms per method pair
-    by_method_eps: dict[tuple, dict] = {}
-    for r in rows:
-        if stats_mod.row_is_measured(r):
-            by_method_eps.setdefault((r["method"], int(r["stage"])), {})[r["image_id"]] = float(
-                r["eps_plus"]
-            )
-    diff_rows = []
-    for a in keys:
-        for b in keys:
-            if a[1] != b[1] or a[0] >= b[0]:
-                continue
             _, counts, edges = stats_mod.epsilon_plus_diff(by_method_eps[a], by_method_eps[b])
             for i, c in enumerate(counts):
                 diff_rows.append([a[0], b[0], a[1], edges[i], edges[i + 1], int(c)])
+    write_csv(out / "reports" / "pairwise.csv",
+              ["method_a", "method_b", "stage", "better", "equal", "worse",
+               "n_compared", "n_excluded"], pw_rows)
     write_csv(out / "reports" / "eps_plus_diff.csv",
               ["method_a", "method_b", "stage", "bin_lo", "bin_hi", "count"], diff_rows)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apem import gap
-from .errors import ZeroMapError
+from .errors import InputShapeError, ZeroMapError
 from .explain import RelevanceMap
 from .netcore import Network
 
@@ -46,7 +46,7 @@ def filter_map(
     clip: bool = False,
 ) -> FilterTrace:
     if not 0 < batch_fraction <= 1:
-        raise ZeroMapError(f"batch_fraction must be in (0, 1], got {batch_fraction}")
+        raise InputShapeError(f"batch_fraction must be in (0, 1], got {batch_fraction}")
     values = np.array(rmap.values, dtype=np.float64)
     try:
         original = gap(net, image, reference_class, values, step, cap, clip).gap

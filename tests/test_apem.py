@@ -1,7 +1,11 @@
 """Gap computation: normalization, directed rays, and the epsilon search."""
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apemkit.apem import (
     apem,
@@ -15,10 +19,12 @@ from apemkit.apem import (
     shuffle_map,
 )
 from apemkit.errors import InputShapeError, ZeroMapError
-from apemkit.explain import RelevanceMap
-from apemkit.netcore import Dense, Network, forward
+from apemkit.explain import RelevanceMap, compute_map, simplify
+from apemkit.netcore import Dense, Network, ReLU, forward, input_gradient
 
 from conftest import random_net
+
+apem_module = importlib.import_module("apemkit.apem")  # the package also exports a function `apem`
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +130,133 @@ def test_find_epsilon_clip_keeps_pixels_in_unit_box():
     assert not capped and k_unclipped == 3
     k_clipped, capped = find_epsilon(net, x, 0, r_dir, cap=100, clip=True)
     assert capped and k_clipped == 100
+
+
+def _desk_ray(net, image, method, ray):
+    """Directed relevance ("rel") or irrelevance ("irr") ray of a stage-3 map."""
+    ref = forward(net, image).predicted_class
+    values = simplify(compute_map(net, image, method, target=ref), image, stage=3).values
+    if ray == "irr":
+        values = irrelevance(values)
+    return ref, direct(normalize_l1(values), input_gradient(net, image, ref))
+
+
+# (image, method, ray, step, clip) on the desk test set at cap 2500: rays that
+# hit the cap (image 2 is as confident as the benchmark's capped image), long
+# rays that flip after 1000 steps, short ones, clipped rays and half steps
+DESK_RAYS = [
+    (2, "gradient", "rel", 1.0, False),
+    (2, "lrp", "rel", 1.0, False),
+    (2, "lrp", "rel", 0.5, False),
+    (2, "gradient", "irr", 1.0, False),
+    (2, "gradient", "irr", 1.0, True),
+    (2, "gradient", "rel", 1.0, True),
+    (2, "lrp", "irr", 0.5, False),
+    (36, "gradient", "rel", 1.0, False),
+    (71, "gradient", "rel", 1.0, False),
+    (150, "lrp", "rel", 0.5, True),
+    (97, "gradient", "irr", 1.0, False),
+    (97, "lrp", "irr", 1.0, False),
+    (122, "lrp", "irr", 1.0, False),
+    (0, "gradient", "irr", 0.5, True),
+    (4, "lrp", "irr", 1.0, False),
+    (6, "gradient", "irr", 0.5, False),
+    (10, "lrp", "irr", 1.0, True),
+    (28, "gradient", "irr", 1.0, False),
+    (9, "gradient", "rel", 1.0, False),
+    (22, "lrp", "rel", 0.5, True),
+]
+
+
+def test_find_epsilon_matches_exhaustive_scan_on_desk_rays(desk_model, desk_test_set):
+    cap = 2500
+    results = []
+    for idx, method, ray, step, clip in DESK_RAYS:
+        image = desk_test_set.images[idx]
+        ref, r_dir = _desk_ray(desk_model, image, method, ray)
+        fast = find_epsilon(desk_model, image, ref, r_dir, step, cap, clip)
+        slow = find_epsilon_scan(desk_model, image, ref, r_dir, step, cap, clip)
+        assert fast == slow, (idx, method, ray, step, clip)
+        results.append(fast)
+    # the set keeps covering capped and long rays, where skipping fires
+    assert sum(capped for _, capped in results) >= 5
+    assert sum(k > 1000 and not capped for k, capped in results) >= 3
+
+
+def _count_rows(monkeypatch):
+    rows = []
+    batch = apem_module.forward_logits_batch
+
+    def spy(net_, xs, start=0):
+        rows.append(len(xs))
+        return batch(net_, xs, start)
+
+    monkeypatch.setattr(apem_module, "forward_logits_batch", spy)
+    return rows
+
+
+def test_find_epsilon_zero_ray_returns_after_one_block(monkeypatch, desk_model, desk_test_set):
+    image = desk_test_set.images[0]
+    ref = forward(desk_model, image).predicted_class
+    rows = _count_rows(monkeypatch)
+    result = find_epsilon(desk_model, image, ref, np.zeros_like(image), cap=2500)
+    assert result == (2500, True)
+    assert sum(rows) <= 9  # the slope-bound pass plus one block
+
+
+def test_find_epsilon_skips_most_of_a_capped_desk_ray(monkeypatch, desk_model, desk_test_set):
+    cap = 2500
+    image = desk_test_set.images[2]
+    ref, r_dir = _desk_ray(desk_model, image, "lrp", "rel")
+    rows = _count_rows(monkeypatch)
+    assert find_epsilon(desk_model, image, ref, r_dir, cap=cap) == (cap, True)
+    assert sum(rows) < 0.05 * cap
+
+
+def _tie_net(signs, thresholds, out_weight, out_bias):
+    """1-input dense/relu net. Along image 0 and direction 1/64 the hidden
+    units are relu(sign * k * step - threshold), so with integer weights
+    every logit is a multiple of 1/2, computed exactly: margins reach 0
+    exactly, and argmax breaks such a tie toward the lower class index."""
+    hidden = Dense(64.0 * np.array(signs)[:, None], -np.array(thresholds, dtype=np.float64))
+    out = Dense(np.array(out_weight, dtype=np.float64), np.array(out_bias, dtype=np.float64))
+    return Network([hidden, ReLU(), out], (1,))
+
+
+@st.composite
+def _tie_cases(draw):
+    n_hidden = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 4))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n_hidden, max_size=n_hidden))
+    thresholds = draw(st.lists(st.integers(-20, 120), min_size=n_hidden, max_size=n_hidden))
+    row = st.lists(st.integers(-3, 3), min_size=n_hidden, max_size=n_hidden)
+    out_weight = draw(st.lists(row, min_size=n_classes, max_size=n_classes))
+    out_bias = draw(st.lists(st.integers(-60, 60), min_size=n_classes, max_size=n_classes))
+    step = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    clip = draw(st.booleans())
+    return signs, thresholds, out_weight, out_bias, step, clip
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_cases())
+# class 0 climbs one logit per step and ties reference class 1 exactly at k = 30
+@example(([1.0], [0], [[1], [0]], [0, 30], 1.0, False))
+# class 1 climbs against reference class 0: the tie at k = 30 keeps class 0,
+# the first flip is k = 31
+@example(([1.0], [0], [[0], [1]], [30, 0], 1.0, False))
+# a tent of height 5 in class 0 against 3 in class 1: pocket at k = 13..17
+@example(([1.0, 1.0, 1.0], [10, 15, 20], [[1, -2, 1], [0, 0, 0]], [0, 3], 1.0, False))
+# the same pocket at half steps, far along the ray: k = 126..134
+@example(([1.0, 1.0, 1.0], [60, 65, 70], [[1, -2, 1], [0, 0, 0]], [0, 3], 0.5, False))
+def test_find_epsilon_matches_scan_on_exact_ties_and_pockets(case):
+    signs, thresholds, out_weight, out_bias, step, clip = case
+    net = _tie_net(signs, thresholds, out_weight, out_bias)
+    image = np.zeros(1)
+    ref = forward(net, image).predicted_class
+    r_dir = np.full(1, 1.0 / 64.0)
+    cap = 150
+    fast = find_epsilon(net, image, ref, r_dir, step, cap, clip)
+    assert fast == find_epsilon_scan(net, image, ref, r_dir, step, cap, clip)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end CLI runs on a tiny configuration, plus exit-code mapping."""
 
+import csv
 import json
 import os
 
@@ -125,3 +126,31 @@ def test_env_seed_is_honored_by_cli(tmp_path, monkeypatch):
                  "--epochs", "0", "--out", out]) == 0
     with open(os.path.join(out, "config.json")) as f:
         assert json.load(f)["seed"] == 77
+
+
+def _csv_dicts(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def test_report_writes_empty_pairwise_row_when_groups_share_no_image(tmp_path):
+    # gradient is measured on img00000 only and lrp on img00001 only
+    # (lrp's img00000 search hit the cap), so the pair has nothing in common
+    results = tmp_path / "results"
+    results.mkdir()
+    header = ("image_id,method,stage,eps_minus,eps_plus,gap,capped_minus,capped_plus,"
+              "predicted_class,true_class,confidence,loss")
+    lines = [
+        header,
+        "img00000,gradient,3,10,30,20,False,False,1,1,0.9,0.1",
+        "img00000,lrp,3,10,300,290,False,True,1,1,0.9,0.1",
+        "img00001,lrp,3,12,40,28,False,False,2,2,0.8,0.2",
+    ]
+    (results / "per_image.csv").write_text("\n".join(lines) + "\n")
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    pairwise = _csv_dicts(tmp_path / "reports" / "pairwise.csv")
+    assert pairwise == [{"method_a": "gradient", "method_b": "lrp", "stage": "3",
+                         "better": "", "equal": "", "worse": "",
+                         "n_compared": "0", "n_excluded": "2"}]
+    histogram = _csv_dicts(tmp_path / "reports" / "eps_plus_diff.csv")
+    assert histogram == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apemkit.apem import gap
-from apemkit.errors import ZeroMapError
+from apemkit.errors import InputShapeError, ZeroMapError
 from apemkit.explain import RelevanceMap, compute_map, simplify
 from apemkit.filtering import filter_map
 from apemkit.netcore import forward
@@ -67,7 +67,7 @@ def test_filter_threshold_includes_ties():
 
 def test_filter_rejects_bad_batch_fraction_and_zero_maps():
     net, image, ref, rmap = _case(13)
-    with pytest.raises(ZeroMapError):
+    with pytest.raises(InputShapeError):
         filter_map(net, image, ref, rmap, batch_fraction=0.0)
     with pytest.raises(ZeroMapError):
         filter_map(net, image, ref, RelevanceMap(values=np.zeros((8, 8)), stage=3))

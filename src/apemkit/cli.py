@@ -9,6 +9,7 @@ so any number in a report can be re-derived. Exit codes: 0 success,
 from __future__ import annotations
 
 import csv
+import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -33,14 +34,10 @@ from .filtering import filter_map
 from .mapio import save_map
 from .modelio import load_model, save_model
 from .netcore import (
-    Conv2D,
     Dataset,
-    Dense,
-    Flatten,
-    MaxPool2D,
     Network,
-    ReLU,
     accuracy,
+    build_desk_model,
     forward,
     loss,
     train,
@@ -49,29 +46,6 @@ from .netcore import (
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-
-
-def build_desk_model(image_size: int = 28, n_classes: int = 10, seed: int = 0) -> Network:
-    """2 conv + 1 dense CNN sized for small grayscale images."""
-    rng = np.random.default_rng(seed)
-    if image_size % 4 != 0:
-        raise ConfigError(f"image_size must be divisible by 4, got {image_size}")
-    c1, c2 = 8, 16
-    w1 = rng.normal(0, np.sqrt(2.0 / 9), size=(c1, 1, 3, 3))
-    w2 = rng.normal(0, np.sqrt(2.0 / (c1 * 9)), size=(c2, c1, 3, 3))
-    flat = c2 * (image_size // 4) ** 2
-    w3 = rng.normal(0, np.sqrt(1.0 / flat), size=(n_classes, flat))
-    layers = [
-        Conv2D(w1, np.zeros(c1), stride=1, padding=1),
-        ReLU(),
-        MaxPool2D(2),
-        Conv2D(w2, np.zeros(c2), stride=1, padding=1),
-        ReLU(),
-        MaxPool2D(2),
-        Flatten(),
-        Dense(w3, np.zeros(n_classes)),
-    ]
-    return Network(layers, (1, image_size, image_size))
 
 
 def load_dataset(cfg: RunConfig) -> Dataset:
@@ -107,6 +81,8 @@ def image_seed(cfg_seed: int, idx: int) -> int:
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -134,15 +110,30 @@ def require_model(cfg: RunConfig) -> Network:
 
 
 # ---------------------------------------------------------------------------
-# Per-image evaluation (parallelizable)
+# Per-image map pipeline; evaluation runs it in parallel over images
 # ---------------------------------------------------------------------------
 
-_WORKER_STATE: dict = {}
+
+def image_maps(net: Network, cfg: RunConfig, idx: int, image: np.ndarray, ref: int,
+               methods, stages):
+    """Yield (method, stage, raw, rmap) for one image: each method's raw
+    attribution toward class `ref`, simplified at each of `stages`."""
+    for method in methods:
+        raw = compute_map(net, image, method, target=ref, smooth_n=cfg.smooth_n,
+                          sigma=cfg.sigma, lrp_epsilon=cfg.lrp_epsilon,
+                          seed=image_seed(cfg.seed, idx))
+        for stage in stages:
+            yield method, stage, raw, simplify(raw, image, stage=stage)
 
 
-def _init_worker(model_path: str, cfg_json: str):
-    _WORKER_STATE["net"] = load_model(model_path)
-    _WORKER_STATE["cfg"] = RunConfig.from_json(cfg_json)
+def gap_fields(net: Network, cfg: RunConfig, image: np.ndarray, ref: int, rmap) -> list:
+    """eps_minus, eps_plus, gap, capped_minus, capped_plus of one map;
+    all empty when the map is all zero and its gap is undefined."""
+    try:
+        g = compute_gap(net, image, ref, rmap, cfg.step, cfg.cap, cfg.clip)
+    except ZeroMapError:
+        return [""] * 5
+    return [g.eps_minus, g.eps_plus, g.gap, g.capped_minus, g.capped_plus]
 
 
 def evaluate_one(net: Network, cfg: RunConfig, idx: int, image: np.ndarray, label: int):
@@ -151,34 +142,20 @@ def evaluate_one(net: Network, cfg: RunConfig, idx: int, image: np.ndarray, labe
     pred = forward(net, image)
     ref = pred.predicted_class
     j = loss(pred, label)
-    image_id = f"img{idx:05d}"
-    rows = []
-    for method in cfg.methods:
-        raw = compute_map(
-            net,
-            image,
-            method,
-            target=ref,
-            smooth_n=cfg.smooth_n,
-            sigma=cfg.sigma,
-            lrp_epsilon=cfg.lrp_epsilon,
-            seed=image_seed(cfg.seed, idx),
-        )
-        rmap = simplify(raw, image, stage=cfg.stage)
-        try:
-            g = compute_gap(net, image, ref, rmap, cfg.step, cfg.cap, cfg.clip)
-            rows.append(
-                [
-                    image_id, method, cfg.stage, g.eps_minus, g.eps_plus, g.gap,
-                    g.capped_minus, g.capped_plus, ref, label, pred.confidence, j,
-                ]
-            )
-        except ZeroMapError:
-            rows.append(
-                [image_id, method, cfg.stage, "", "", "", "", "", ref, label,
-                 pred.confidence, j]
-            )
-    return rows
+    return [
+        [f"img{idx:05d}", method, stage, *gap_fields(net, cfg, image, ref, rmap),
+         ref, label, pred.confidence, j]
+        for method, stage, _, rmap in image_maps(net, cfg, idx, image, ref, cfg.methods,
+                                                 (cfg.stage,))
+    ]
+
+
+_WORKER_STATE: dict = {}
+
+
+def _init_worker(model_path: str, cfg_json: str):
+    _WORKER_STATE["net"] = load_model(model_path)
+    _WORKER_STATE["cfg"] = RunConfig.from_json(cfg_json)
 
 
 def _evaluate_task(args):
@@ -260,6 +237,15 @@ def build_config(config_path, **overrides) -> RunConfig:
     return cfg
 
 
+def setup(config_path, kw):
+    """Config, run directory, model and dataset of a command that reads maps."""
+    cfg = build_config(config_path, **kw)
+    out = prepare_run_dir(cfg)
+    net = require_model(cfg)
+    ds = load_dataset(cfg)
+    return cfg, out, net, ds
+
+
 @click.group()
 def cli():
     """Adversarial-perturbation evaluation of relevance maps."""
@@ -285,8 +271,6 @@ def cmd_train(config_path, **kw):
         "seed": cfg.seed,
         "n_train": len(ds),
     }
-    import json
-
     with open(out / "model_manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
     click.echo(f"trained model -> {model_path} (train accuracy {acc:.4f})")
@@ -296,26 +280,16 @@ def cmd_train(config_path, **kw):
 @config_options
 def cmd_explain(config_path, **kw):
     """Write one map file per (image, method, stage)."""
-    cfg = build_config(config_path, **kw)
-    out = prepare_run_dir(cfg)
-    net = require_model(cfg)
-    ds = load_dataset(cfg)
+    cfg, out, net, ds = setup(config_path, kw)
     count = 0
-    for idx in range(len(ds)):
-        image = ds.images[idx]
+    for idx, image in enumerate(ds.images):
         ref = forward(net, image).predicted_class
-        for method in cfg.methods:
-            raw = compute_map(
-                net, image, method, target=ref,
-                smooth_n=cfg.smooth_n, sigma=cfg.sigma,
-                lrp_epsilon=cfg.lrp_epsilon, seed=image_seed(cfg.seed, idx),
-            )
-            for stage in (1, 2, 3):
-                rmap = simplify(raw, image, stage=stage)
-                path = out / "maps" / f"img{idx:05d}_{method}_s{stage}.map"
-                save_map(rmap, path, image_id=f"img{idx:05d}", method=method,
-                         params=dict(raw.params))
-                count += 1
+        for method, stage, raw, rmap in image_maps(net, cfg, idx, image, ref, cfg.methods,
+                                                   (1, 2, 3)):
+            path = out / "maps" / f"img{idx:05d}_{method}_s{stage}.map"
+            save_map(rmap, path, image_id=f"img{idx:05d}", method=method,
+                     params=dict(raw.params))
+            count += 1
     click.echo(f"wrote {count} map files -> {out / 'maps'}")
 
 
@@ -323,12 +297,8 @@ def cmd_explain(config_path, **kw):
 @config_options
 def cmd_evaluate(config_path, **kw):
     """Per-image gap CSV, split into correct and misclassified subsets."""
-    cfg = build_config(config_path, **kw)
-    out = prepare_run_dir(cfg)
-    model_path = cfg.model or str(out / "model.net")
-    net = require_model(cfg)
-    ds = load_dataset(cfg)
-    rows = run_evaluate(cfg, net, ds, model_path)
+    cfg, out, net, ds = setup(config_path, kw)
+    rows = run_evaluate(cfg, net, ds, cfg.model or str(out / "model.net"))
     write_csv(out / "results" / "per_image.csv", stats_mod.CSV_COLUMNS, rows)
     correct = [r for r in rows if r[8] == r[9]]
     wrong = [r for r in rows if r[8] != r[9]]
@@ -342,38 +312,24 @@ def cmd_evaluate(config_path, **kw):
 
 
 @cli.command("shuffle-test")
-@click.option("--k-shuffles", type=int, default=10, show_default=True)
+@click.option("--k-shuffles", type=click.IntRange(min=1), default=10, show_default=True)
 @config_options
 def cmd_shuffle_test(config_path, k_shuffles, **kw):
     """Gap rows for k shuffled copies of each map, per simplification stage."""
-    cfg = build_config(config_path, **kw)
-    out = prepare_run_dir(cfg)
-    net = require_model(cfg)
-    ds = load_dataset(cfg)
-    method = cfg.methods[0]
+    cfg, out, net, ds = setup(config_path, kw)
     header = [
         "image_id", "method", "stage", "shuffle_index",
         "eps_minus", "eps_plus", "gap", "capped_minus", "capped_plus",
     ]
     rows = []
-    for idx in range(len(ds)):
-        image = ds.images[idx]
+    for idx, image in enumerate(ds.images):
         ref = forward(net, image).predicted_class
-        raw = compute_map(
-            net, image, method, target=ref,
-            smooth_n=cfg.smooth_n, sigma=cfg.sigma,
-            lrp_epsilon=cfg.lrp_epsilon, seed=image_seed(cfg.seed, idx),
-        )
-        for stage in (1, 2, 3):
-            rmap = simplify(raw, image, stage=stage)
+        for method, stage, _, rmap in image_maps(net, cfg, idx, image, ref, cfg.methods[:1],
+                                                 (1, 2, 3)):
             for s in range(k_shuffles):
                 shuffled = shuffle_map(rmap, seed=image_seed(cfg.seed, idx) + s + 1)
-                try:
-                    g = compute_gap(net, image, ref, shuffled, cfg.step, cfg.cap, cfg.clip)
-                    rows.append([f"img{idx:05d}", method, stage, s, g.eps_minus,
-                                 g.eps_plus, g.gap, g.capped_minus, g.capped_plus])
-                except ZeroMapError:
-                    rows.append([f"img{idx:05d}", method, stage, s, "", "", "", "", ""])
+                rows.append([f"img{idx:05d}", method, stage, s,
+                             *gap_fields(net, cfg, image, ref, shuffled)])
     write_csv(out / "results" / "shuffle.csv", header, rows)
     click.echo(f"wrote {len(rows)} shuffled-map rows -> {out / 'results' / 'shuffle.csv'}")
 
@@ -382,35 +338,26 @@ def cmd_shuffle_test(config_path, k_shuffles, **kw):
 @config_options
 def cmd_filter(config_path, **kw):
     """Clean maps by iterative zeroing; write filtered maps and trace CSV."""
-    cfg = build_config(config_path, **kw)
-    out = prepare_run_dir(cfg)
-    net = require_model(cfg)
-    ds = load_dataset(cfg)
+    cfg, out, net, ds = setup(config_path, kw)
     (out / "maps" / "filtered").mkdir(parents=True, exist_ok=True)
     header = ["image_id", "method", "stage", "iteration", "threshold", "zeroed_count", "gap"]
     rows = []
-    for idx in range(len(ds)):
-        image = ds.images[idx]
+    for idx, image in enumerate(ds.images):
+        image_id = f"img{idx:05d}"
         ref = forward(net, image).predicted_class
-        for method in cfg.methods:
-            raw = compute_map(
-                net, image, method, target=ref,
-                smooth_n=cfg.smooth_n, sigma=cfg.sigma,
-                lrp_epsilon=cfg.lrp_epsilon, seed=image_seed(cfg.seed, idx),
-            )
-            rmap = simplify(raw, image, stage=cfg.stage)
+        for method, stage, _, rmap in image_maps(net, cfg, idx, image, ref, cfg.methods,
+                                                 (cfg.stage,)):
             try:
                 trace = filter_map(net, image, ref, rmap, cfg.step, cfg.cap,
                                    cfg.batch_fraction, cfg.clip)
             except ZeroMapError:
                 continue
-            path = out / "maps" / "filtered" / f"img{idx:05d}_{method}_s{cfg.stage}.map"
-            save_map(trace.final_map, path, image_id=f"img{idx:05d}", method=method,
+            path = out / "maps" / "filtered" / f"{image_id}_{method}_s{stage}.map"
+            save_map(trace.final_map, path, image_id=image_id, method=method,
                      params={"filtered": True, "batch_fraction": cfg.batch_fraction})
-            rows.append([f"img{idx:05d}", method, cfg.stage, 0, "", 0, trace.original_gap])
+            rows.append([image_id, method, stage, 0, "", 0, trace.original_gap])
             for it_idx, it in enumerate(trace.iterations, start=1):
-                rows.append([f"img{idx:05d}", method, cfg.stage, it_idx,
-                             it.threshold, it.zeroed, it.gap])
+                rows.append([image_id, method, stage, it_idx, it.threshold, it.zeroed, it.gap])
     write_csv(out / "results" / "filter_trace.csv", header, rows)
     click.echo(f"filtered maps -> {out / 'maps' / 'filtered'}")
 
@@ -428,12 +375,8 @@ def cmd_report(config_path, **kw):
 
     def summary_rows(summaries):
         return [
-            [s.method, s.stage, s.n_images, s.n_defined,
-             "" if s.mean_gap is None else s.mean_gap,
-             "" if s.median_gap is None else s.median_gap,
-             "" if s.q1 is None else s.q1,
-             "" if s.q3 is None else s.q3,
-             s.capped_count, s.undefined_count]
+            [s.method, s.stage, s.n_images, s.n_defined, s.mean_gap, s.median_gap,
+             s.q1, s.q3, s.capped_count, s.undefined_count]
             for s in summaries
         ]
 
@@ -445,29 +388,31 @@ def cmd_report(config_path, **kw):
 
     # pairwise win/tie/loss fractions and eps_plus difference histograms,
     # per stage and method pair, over the images both measured
-    by_method: dict[tuple, dict] = {}
-    by_method_eps: dict[tuple, dict] = {}
+    measured: dict[tuple, dict] = {}
     for r in rows:
         if stats_mod.row_is_measured(r):
-            key = (r["method"], int(r["stage"]))
-            by_method.setdefault(key, {})[r["image_id"]] = float(r["gap"])
-            by_method_eps.setdefault(key, {})[r["image_id"]] = float(r["eps_plus"])
+            measured.setdefault((r["method"], int(r["stage"])), {})[r["image_id"]] = r
+
+    def column(key, name):
+        return {image_id: float(r[name]) for image_id, r in measured[key].items()}
+
     pw_rows = []
     diff_rows = []
-    keys = sorted(by_method)
+    keys = sorted(measured)
     for a in keys:
         for b in keys:
             if a[1] != b[1] or a[0] >= b[0]:
                 continue
-            if not by_method[a].keys() & by_method[b].keys():
+            if not measured[a].keys() & measured[b].keys():
                 # no shared image: nothing to compare, no histogram
                 pw_rows.append([a[0], b[0], a[1], "", "", "", 0,
-                                len(by_method[a].keys() | by_method[b].keys())])
+                                len(measured[a].keys() | measured[b].keys())])
                 continue
-            pw = stats_mod.pairwise(by_method[a], by_method[b])
+            pw = stats_mod.pairwise(column(a, "gap"), column(b, "gap"))
             pw_rows.append([a[0], b[0], a[1], pw.better, pw.equal, pw.worse,
                             pw.n_compared, pw.n_excluded])
-            _, counts, edges = stats_mod.epsilon_plus_diff(by_method_eps[a], by_method_eps[b])
+            _, counts, edges = stats_mod.epsilon_plus_diff(column(a, "eps_plus"),
+                                                           column(b, "eps_plus"))
             for i, c in enumerate(counts):
                 diff_rows.append([a[0], b[0], a[1], edges[i], edges[i + 1], int(c)])
     write_csv(out / "reports" / "pairwise.csv",
@@ -493,9 +438,7 @@ def cmd_report(config_path, **kw):
             res = stats_mod.spearman([float(r["gap"]) for r in sel],
                                      [float(r["loss"]) for r in sel], seed=cfg.seed)
             corr_rows.append([f"{method}_gap", "loss", stage, subset_name,
-                              "" if res.rho is None else res.rho,
-                              "" if res.p_value is None else res.p_value,
-                              res.n, res.reason or ""])
+                              res.rho, res.p_value, res.n, res.reason])
         dedup = {}
         for r in subset:
             dedup[r["image_id"]] = (float(r["confidence"]), float(r["loss"]))
@@ -503,9 +446,7 @@ def cmd_report(config_path, **kw):
             conf, lo = zip(*dedup.values())
             res = stats_mod.spearman(conf, lo, seed=cfg.seed)
             corr_rows.append(["confidence", "loss", "", subset_name,
-                              "" if res.rho is None else res.rho,
-                              "" if res.p_value is None else res.p_value,
-                              res.n, res.reason or ""])
+                              res.rho, res.p_value, res.n, res.reason])
     write_csv(out / "reports" / "correlation.csv",
               ["var_x", "var_y", "stage", "subset", "rho", "p_value", "n", "note"], corr_rows)
     click.echo(f"reports -> {out / 'reports'}")

@@ -12,6 +12,17 @@ from .errors import ConfigError
 
 ENV_SEED = "APEMKIT_SEED"
 
+# JSON value types accepted per annotated field type; a float field takes an int
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
+def _has_type(value, type_name: str) -> bool:
+    if isinstance(value, bool) and type_name != "bool":
+        return False
+    if type_name == "list[str]":
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, _FIELD_TYPES[type_name])
+
 
 @dataclass
 class RunConfig:
@@ -64,10 +75,22 @@ class RunConfig:
         self.validate()
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.dataset_kind not in ("synthetic", "idx"):
             raise ConfigError(f"dataset_kind must be 'synthetic' or 'idx', got {self.dataset_kind!r}")
         if self.dataset_kind == "idx" and not (self.dataset_images and self.dataset_labels):
             raise ConfigError("idx datasets need dataset_images and dataset_labels paths")
+        if self.limit < 0:
+            raise ConfigError(f"limit must be >= 0, got {self.limit}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if self.workers < 0:
+            raise ConfigError(f"workers must be >= 0, got {self.workers}")
         if self.stage not in (1, 2, 3):
             raise ConfigError(f"stage must be 1, 2 or 3, got {self.stage}")
         if self.step <= 0:

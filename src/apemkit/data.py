@@ -8,6 +8,7 @@ import struct
 import numpy as np
 
 from .errors import DataError, FormatError
+from .explain import bilinear_resize
 from .netcore import Dataset
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -66,24 +67,6 @@ def load_idx_dataset(image_path, label_path) -> Dataset:
     return Dataset(images=images, labels=labels)
 
 
-def _upsample_bilinear(grid: np.ndarray, size: int) -> np.ndarray:
-    """Bilinear interpolation of a 2-D grid onto size x size (align corners)."""
-    gh, gw = grid.shape
-    if gh == 1 and gw == 1:
-        return np.full((size, size), grid[0, 0])
-    yi = np.linspace(0.0, gh - 1, size)
-    xi = np.linspace(0.0, gw - 1, size)
-    y0 = np.clip(np.floor(yi).astype(int), 0, gh - 2)
-    x0 = np.clip(np.floor(xi).astype(int), 0, gw - 2)
-    fy = (yi - y0)[:, None]
-    fx = (xi - x0)[None, :]
-    a = grid[np.ix_(y0, x0)]
-    b = grid[np.ix_(y0, x0 + 1)]
-    c = grid[np.ix_(y0 + 1, x0)]
-    d = grid[np.ix_(y0 + 1, x0 + 1)]
-    return a * (1 - fy) * (1 - fx) + b * (1 - fy) * fx + c * fy * (1 - fx) + d * fy * fx
-
-
 def synthetic_dataset(
     n_images: int,
     n_classes: int = 10,
@@ -109,7 +92,7 @@ def synthetic_dataset(
     rng = np.random.default_rng(seed)
     template_rng = np.random.default_rng(template_seed)
     coarse = max(4, image_size // 4)
-    bg = _upsample_bilinear(template_rng.normal(size=(coarse, coarse)), image_size)
+    bg = bilinear_resize(template_rng.normal(size=(coarse, coarse)), image_size, image_size)
     bg = (bg - bg.min()) / (bg.max() - bg.min())
     margin = max(2, image_size // 6)
     yy, xx = np.mgrid[0:image_size, 0:image_size].astype(np.float64)

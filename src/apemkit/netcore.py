@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InputShapeError,
     MethodInapplicableError,
     NumericError,
@@ -233,6 +234,29 @@ class Network:
         return [i for i, l in enumerate(self.layers) if l.kind == "conv2d"]
 
 
+def build_desk_model(image_size: int = 28, n_classes: int = 10, seed: int = 0) -> Network:
+    """2 conv + 1 dense CNN sized for small grayscale images."""
+    rng = np.random.default_rng(seed)
+    if image_size % 4 != 0:
+        raise ConfigError(f"image_size must be divisible by 4, got {image_size}")
+    c1, c2 = 8, 16
+    w1 = rng.normal(0, np.sqrt(2.0 / 9), size=(c1, 1, 3, 3))
+    w2 = rng.normal(0, np.sqrt(2.0 / (c1 * 9)), size=(c2, c1, 3, 3))
+    flat = c2 * (image_size // 4) ** 2
+    w3 = rng.normal(0, np.sqrt(1.0 / flat), size=(n_classes, flat))
+    layers = [
+        Conv2D(w1, np.zeros(c1), stride=1, padding=1),
+        ReLU(),
+        MaxPool2D(2),
+        Conv2D(w2, np.zeros(c2), stride=1, padding=1),
+        ReLU(),
+        MaxPool2D(2),
+        Flatten(),
+        Dense(w3, np.zeros(n_classes)),
+    ]
+    return Network(layers, (1, image_size, image_size))
+
+
 @dataclass(frozen=True)
 class Prediction:
     logits: np.ndarray
@@ -332,26 +356,29 @@ def _backward_from_logits(net, caches, dlogits, guided=False):
     return dy
 
 
-def input_gradient(net: Network, image: np.ndarray, label: int) -> np.ndarray:
-    """Exact dJ/dx for cross-entropy loss J at class `label`."""
+def _loss_seed(logits: np.ndarray, label: int) -> np.ndarray:
+    """dJ/dlogits of the cross-entropy at class `label`: softmax minus one-hot."""
+    d = softmax(logits)
+    d[label] -= 1.0
+    return d
+
+
+def _gradient(net: Network, image: np.ndarray, label: int, guided: bool) -> np.ndarray:
     image = _check_input(net, image)
     if not 0 <= label < net.num_classes:
         raise InputShapeError(f"label {label} out of range for {net.num_classes} classes")
     logits, _, caches = _forward_trace(net, image)
-    d = softmax(logits)
-    d[label] -= 1.0
-    return _backward_from_logits(net, caches, d)
+    return _backward_from_logits(net, caches, _loss_seed(logits, label), guided=guided)
+
+
+def input_gradient(net: Network, image: np.ndarray, label: int) -> np.ndarray:
+    """Exact dJ/dx for cross-entropy loss J at class `label`."""
+    return _gradient(net, image, label, guided=False)
 
 
 def guided_input_gradient(net: Network, image: np.ndarray, label: int) -> np.ndarray:
     """As input_gradient, but relu layers also zero negative backward signals."""
-    image = _check_input(net, image)
-    if not 0 <= label < net.num_classes:
-        raise InputShapeError(f"label {label} out of range for {net.num_classes} classes")
-    logits, _, caches = _forward_trace(net, image)
-    d = softmax(logits)
-    d[label] -= 1.0
-    return _backward_from_logits(net, caches, d, guided=True)
+    return _gradient(net, image, label, guided=True)
 
 
 def feature_map_gradient(net: Network, image: np.ndarray, class_index: int, layer_index: int):
@@ -388,6 +415,8 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if len(self.images) != len(self.labels):
             raise InputShapeError("image/label counts differ")
+        if not np.isfinite(self.images).all():
+            raise InputShapeError("pixel values must be finite")
         if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
             raise InputShapeError("pixel values must lie in [0, 1]")
 
@@ -399,9 +428,7 @@ def _sgd_step(net, image, label, lr):
     logits, _, caches = _forward_trace(net, image)
     m = np.max(logits)
     j = float(np.log(np.exp(logits - m).sum()) + m - logits[label])
-    d = softmax(logits)
-    d[label] -= 1.0
-    dy = d
+    dy = _loss_seed(logits, label)
     grads = []
     for layer, cache in zip(reversed(net.layers), reversed(caches)):
         dy, g = layer.backward(dy, cache, guided=False)

@@ -7,7 +7,6 @@ training and gap searches dominate the suite's runtime.
 import numpy as np
 import pytest
 
-from apemkit.cli import build_desk_model
 from apemkit.data import synthetic_dataset
 from apemkit.netcore import (
     Conv2D,
@@ -16,6 +15,7 @@ from apemkit.netcore import (
     MaxPool2D,
     Network,
     ReLU,
+    build_desk_model,
     train,
 )
 

@@ -108,6 +108,22 @@ def test_exit_code_2_on_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["evaluate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    bad.write_text('{"cap": "10"}')
+    assert main(["evaluate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explain", "--limit", "-3"],
+        ["evaluate", "--workers", "-1"],
+        ["train", "--epochs", "-1"],
+        ["train", "--lr", "0"],
+        ["shuffle-test", "--k-shuffles", "0"],
+    ],
+)
+def test_exit_code_2_on_out_of_range_values(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
 
 
 def test_exit_code_3_on_data_errors(tmp_path):

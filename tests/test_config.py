@@ -47,11 +47,40 @@ def test_missing_config_file_is_a_config_error(tmp_path):
         {"sigma": -0.1},
         {"lrp_epsilon": -1.0},
         {"methods": ["gradient", "occlusion"]},
+        {"limit": -1},
+        {"workers": -1},
+        {"epochs": -1},
+        {"lr": 0.0},
+        {"lr": -0.05},
     ],
 )
 def test_invalid_values_are_rejected(kw):
     with pytest.raises(ConfigError):
         RunConfig(**kw)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"cap": "10"}',
+        '{"cap": 10.0}',
+        '{"cap": true}',
+        '{"lr": "0.1"}',
+        '{"clip": 1}',
+        '{"out": 3}',
+        '{"methods": "gradient"}',
+        '{"methods": ["gradient", 1]}',
+        '{"seed": null}',
+    ],
+)
+def test_json_values_of_the_wrong_type_are_rejected(text):
+    with pytest.raises(ConfigError):
+        RunConfig.from_json(text)
+
+
+def test_json_int_is_accepted_for_a_float_field():
+    cfg = RunConfig.from_json('{"lr": 1, "sigma": 0}')
+    assert cfg.lr == 1 and cfg.sigma == 0
 
 
 def test_env_seed_overrides_config(monkeypatch):

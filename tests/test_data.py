@@ -12,7 +12,8 @@ from apemkit.data import (
     load_idx_labels,
     synthetic_dataset,
 )
-from apemkit.errors import DataError, FormatError
+from apemkit.errors import DataError, FormatError, InputShapeError
+from apemkit.netcore import Dataset
 
 
 def write_idx_images(path, images):
@@ -116,3 +117,13 @@ def test_synthetic_dataset_parameter_validation():
     ds = synthetic_dataset(5, n_classes=4, image_size=16)
     assert ds.images.shape == (5, 1, 16, 16)
     assert set(np.unique(ds.labels)) <= {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_pixels(bad):
+    images = np.full((2, 1, 8, 8), 0.5)
+    images[1, 0, 3, 4] = bad
+    with pytest.raises(InputShapeError):
+        Dataset(images=images, labels=[0, 1])
+    with pytest.raises(InputShapeError):
+        Dataset(images=np.full((1, 1, 8, 8), bad), labels=[0])

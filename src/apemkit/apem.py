@@ -164,8 +164,9 @@ def find_epsilon_scan(
     cap: int = 10_000,
     clip: bool = False,
 ) -> tuple[int, bool]:
-    """Exhaustive linear scan over k = 1..cap; the independent reference for
-    find_epsilon. O(cap) forward passes, use only at small caps."""
+    """Exhaustive linear scan over k = 1..cap, one forward per k; the
+    reference for find_epsilon's blocks and skips, on the same evaluator.
+    O(cap) forward passes, use only at small caps."""
     if step <= 0 or cap < 1:
         raise InputShapeError("step must be > 0 and cap >= 1")
     image = _check_input(net, image)

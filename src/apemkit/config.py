@@ -83,6 +83,14 @@ class RunConfig:
             raise ConfigError(f"dataset_kind must be 'synthetic' or 'idx', got {self.dataset_kind!r}")
         if self.dataset_kind == "idx" and not (self.dataset_images and self.dataset_labels):
             raise ConfigError("idx datasets need dataset_images and dataset_labels paths")
+        if self.n_images < 1:
+            raise ConfigError(f"n_images must be >= 1, got {self.n_images}")
+        if self.n_classes < 2:
+            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
+        if self.image_size < 8:
+            raise ConfigError(f"image_size must be >= 8, got {self.image_size}")
+        if self.noise_std < 0:
+            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.limit < 0:
             raise ConfigError(f"limit must be >= 0, got {self.limit}")
         if self.epochs < 0:

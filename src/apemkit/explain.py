@@ -13,15 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InputShapeError,
-    MethodInapplicableError,
-    UnsupportedArchitectureError,
-)
+from .errors import InputShapeError, MethodInapplicableError
 from .netcore import (
     Network,
     _check_input,
-    _forward_trace,
+    _col2im,
+    _trace_one,
+    _unpool,
     feature_map_gradient,
     forward,
     guided_input_gradient,
@@ -130,10 +128,7 @@ def lrp_epsilon_map(
     if epsilon < 0:
         raise InputShapeError("lrp stabilizer epsilon must be >= 0")
     image = _check_input(net, image)
-    for layer in net.layers:
-        if layer.kind not in ("dense", "conv2d", "relu", "maxpool2d", "flatten"):
-            raise UnsupportedArchitectureError(f"LRP does not support layer kind {layer.kind!r}")
-    logits, outputs, caches = _forward_trace(net, image)
+    logits, trace = _trace_one(net, image)
     target = int(np.argmax(logits)) if target is None else int(target)
 
     rel = np.zeros_like(logits)
@@ -142,27 +137,27 @@ def lrp_epsilon_map(
 
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        a = image if i == 0 else outputs[i - 1]
+        a, aux = trace[i]  # the layer's input and its im2col columns or max offsets
         if layer.kind == "dense":
             a_flat = a.reshape(-1)
             z = layer.weight * a_flat[None, :]  # (out, in)
             z_sum = z.sum(axis=1) + layer.bias
             denom = z_sum + epsilon * _stable_sign(z_sum)
             factor = np.where(denom == 0, 0.0, rel / np.where(denom == 0, 1.0, denom))
-            rel = (z * factor[:, None]).sum(axis=0).reshape(a.shape)
+            rel = (z * factor[:, None]).sum(axis=0).reshape(a.shape[1:])
         elif layer.kind == "conv2d":
-            cols, out_hw = layer._im2col(a)
+            cols = aux[0]
             wmat = layer.weight.reshape(layer.weight.shape[0], -1)
-            z_sum = wmat @ cols + layer.bias[:, None]  # (oc, L)
+            z_sum = trace[i + 1][0][0].reshape(wmat.shape[0], -1)  # the conv's output (oc, L)
             denom = z_sum + epsilon * _stable_sign(z_sum)
             rel_mat = rel.reshape(z_sum.shape)
             factor = np.where(denom == 0, 0.0, rel_mat / np.where(denom == 0, 1.0, denom))
             rcols = cols * (wmat.T @ factor)
-            rel = layer._col2im(rcols, a.shape, out_hw)
+            rel = _col2im(layer, rcols[None], a.shape)[0]
         elif layer.kind == "maxpool2d":
-            rel, _ = layer.backward(rel, caches[i])
+            rel = _unpool(layer, rel[None], aux, a.shape)[0]
         elif layer.kind == "flatten":
-            rel = rel.reshape(a.shape)
+            rel = rel.reshape(a.shape[1:])
         else:  # relu: identity on active units (inactive ones hold zero already)
             pass
         layer_sums.append(float(rel.sum()))

@@ -1,15 +1,17 @@
 """Minimal feed-forward network engine.
 
-Five layer kinds (dense, conv2d, relu, maxpool2d, flatten), single-sample
-forward/backward in float64, exact input gradients, and a plain SGD trainer.
-Networks are immutable after construction: forward/backward never mutate
-layer state, so concurrent reads are safe.
+Five layer kinds (dense, conv2d, relu, maxpool2d, flatten), which hold only
+their parameters, and one batched float64 forward/backward over (B, ...)
+arrays that every function here runs on, single images at B=1: predictions,
+exact input gradients, LRP's activations and a plain SGD trainer. A row's
+result does not depend on the batch it is in. Only the SGD step mutates
+layers, so concurrent reads are safe.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,16 +45,6 @@ class Dense:
             )
         return (self.weight.shape[0],)
 
-    def forward(self, x):
-        x = x.reshape(-1)
-        return self.weight @ x + self.bias, x
-
-    def backward(self, dy, cache, guided=False):
-        x = cache
-        dx = self.weight.T @ dy
-        dw = np.outer(dy, x)
-        return dx, {"weight": dw, "bias": dy.copy()}
-
 
 class Conv2D:
     kind = "conv2d"
@@ -79,62 +71,12 @@ class Conv2D:
             raise InputShapeError("conv2d kernel larger than padded input")
         return (oc, oh, ow)
 
-    def _im2col(self, x):
-        c, h, w = x.shape
-        oc, ic, kh, kw = self.weight.shape
-        p, s = self.padding, self.stride
-        xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
-        oh = (h + 2 * p - kh) // s + 1
-        ow = (w + 2 * p - kw) // s + 1
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-        windows = windows[:, ::s, ::s]  # (c, oh, ow, kh, kw)
-        cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, oh * ow)
-        return np.ascontiguousarray(cols), (oh, ow)
-
-    def forward(self, x):
-        cols, (oh, ow) = self._im2col(x)
-        wmat = self.weight.reshape(self.weight.shape[0], -1)
-        y = (wmat @ cols + self.bias[:, None]).reshape(-1, oh, ow)
-        return y, (x.shape, cols)
-
-    def backward(self, dy, cache, guided=False):
-        x_shape, cols = cache
-        oc, ic, kh, kw = self.weight.shape
-        dy_mat = dy.reshape(oc, -1)
-        wmat = self.weight.reshape(oc, -1)
-        dw = (dy_mat @ cols.T).reshape(self.weight.shape)
-        db = dy_mat.sum(axis=1)
-        dcols = wmat.T @ dy_mat  # (ic*kh*kw, oh*ow)
-        dx = self._col2im(dcols, x_shape, dy.shape[1:])
-        return dx, {"weight": dw, "bias": db}
-
-    def _col2im(self, dcols, x_shape, out_hw):
-        c, h, w = x_shape
-        oc, ic, kh, kw = self.weight.shape
-        p, s = self.padding, self.stride
-        oh, ow = out_hw
-        dxp = np.zeros((c, h + 2 * p, w + 2 * p))
-        dcols = dcols.reshape(c, kh, kw, oh, ow)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i : i + s * oh : s, j : j + s * ow : s] += dcols[:, i, j]
-        return dxp[:, p : p + h, p : p + w] if p else dxp
-
 
 class ReLU:
     kind = "relu"
 
     def output_shape(self, input_shape):
         return tuple(input_shape)
-
-    def forward(self, x):
-        return np.maximum(x, 0.0), x
-
-    def backward(self, dy, cache, guided=False):
-        mask = cache > 0
-        if guided:
-            mask = mask & (dy > 0)
-        return dy * mask, None
 
 
 class MaxPool2D:
@@ -156,30 +98,6 @@ class MaxPool2D:
             raise InputShapeError("maxpool2d window larger than input")
         return (c, oh, ow)
 
-    def forward(self, x):
-        k, s = self.size, self.stride
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::s, ::s]
-        c, oh, ow = windows.shape[:3]
-        flat = windows.reshape(c, oh, ow, k * k)
-        # argmax over the flattened window takes the first maximum in
-        # row-major order, which fixes the gradient routing on ties
-        idx = np.argmax(flat, axis=-1)
-        y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        return y, (x.shape, idx)
-
-    def backward(self, dy, cache, guided=False):
-        x_shape, idx = cache
-        k, s = self.size, self.stride
-        c, oh, ow = dy.shape
-        dx = np.zeros(x_shape)
-        ci, oi, oj = np.meshgrid(
-            np.arange(c), np.arange(oh), np.arange(ow), indexing="ij"
-        )
-        ri = oi * s + idx // k
-        rj = oj * s + idx % k
-        np.add.at(dx, (ci.ravel(), ri.ravel(), rj.ravel()), dy.ravel())
-        return dx, None
-
 
 class Flatten:
     kind = "flatten"
@@ -187,15 +105,8 @@ class Flatten:
     def output_shape(self, input_shape):
         return (int(np.prod(input_shape)),)
 
-    def forward(self, x):
-        return x.reshape(-1), x.shape
-
-    def backward(self, dy, cache, guided=False):
-        return dy.reshape(cache), None
-
 
 LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2d", "flatten")
-_PARAM_LAYERS = (Dense, Conv2D)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +132,8 @@ class Network:
         if self.layers[-1].kind != "dense":
             raise UnsupportedArchitectureError("final layer must be dense (class logits)")
         shape = self.input_shape
-        self.layer_shapes = [shape]
         for layer in self.layers:
             shape = layer.output_shape(shape)
-            self.layer_shapes.append(shape)
         self.num_classes = int(shape[0])
 
     def copy(self):
@@ -280,21 +189,137 @@ def _check_input(net: Network, image: np.ndarray) -> np.ndarray:
     return image
 
 
-def _forward_trace(net: Network, image: np.ndarray):
-    """Run all layers, returning (logits, per-layer outputs, caches)."""
-    x = image
-    outputs = []
-    caches = []
-    for layer in net.layers:
-        x, cache = layer.forward(x)
-        outputs.append(x)
-        caches.append(cache)
-    return x, outputs, caches
+# ---------------------------------------------------------------------------
+# Engine: one batched forward and backward over (B, ...)
+# ---------------------------------------------------------------------------
+
+
+def _im2col(layer: Conv2D, x: np.ndarray):
+    """(B, c, h, w) -> columns (B, c*kh*kw, oh*ow), one per output pixel."""
+    b, c = x.shape[:2]
+    kh, kw = layer.weight.shape[2:]
+    p, s = layer.padding, layer.stride
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    oh, ow = win.shape[2:4]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
+    return np.ascontiguousarray(cols), (oh, ow)
+
+
+def _col2im(layer: Conv2D, dcols: np.ndarray, x_shape) -> np.ndarray:
+    """Adjoint of _im2col: adds every column entry back onto its input pixel."""
+    b, c, h, w = x_shape
+    _, oh, ow = layer.output_shape(x_shape[1:])
+    kh, kw = layer.weight.shape[2:]
+    p, s = layer.padding, layer.stride
+    dxp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    dcols = dcols.reshape(b, c, kh, kw, oh, ow)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += dcols[:, :, i, j]
+    return dxp[:, :, p : p + h, p : p + w] if p else dxp
+
+
+def _pool_slices(layer: MaxPool2D, x: np.ndarray):
+    """Views of x, one per window offset t = i*size + j: offset (i, j) of every window."""
+    k, s = layer.size, layer.stride
+    _, oh, ow = layer.output_shape(x.shape[1:])
+    for i in range(k):
+        for j in range(k):
+            yield x[:, :, i : i + s * (oh - 1) + 1 : s, j : j + s * (ow - 1) + 1 : s]
+
+
+def _unpool(layer: MaxPool2D, dy: np.ndarray, idx: np.ndarray, x_shape) -> np.ndarray:
+    """Routes each window's dy to its first maximum."""
+    dx = np.zeros(x_shape)
+    for t, view in enumerate(_pool_slices(layer, dx)):
+        view += np.where(idx == t, dy, 0.0)
+    return dx
+
+
+def _forward(net: Network, x: np.ndarray, start: int = 0, trace: list | None = None):
+    """Logits (B, n_classes) of the batch x entering layer `start`.
+
+    With a list for trace, appends (input, aux) per layer, where aux holds a
+    conv's im2col columns or a max-pool's first-maximum offsets: all that
+    _backward needs. Without one, no activation outlives its next layer.
+    """
+    b = x.shape[0]
+    route = trace is not None
+    for layer in net.layers[start:]:
+        aux = None
+        if layer.kind == "dense":
+            # one matrix-vector product per row: a row's logits are bit-equal
+            # at any batch size, which one matrix-matrix product would not give
+            y = np.matmul(layer.weight, x.reshape(b, -1, 1))[..., 0] + layer.bias
+        elif layer.kind == "conv2d":
+            cols, (oh, ow) = _im2col(layer, x)
+            wmat = layer.weight.reshape(layer.weight.shape[0], -1)
+            y = (np.matmul(wmat, cols) + layer.bias[:, None]).reshape(b, -1, oh, ow)
+            aux = cols if route else None
+        elif layer.kind == "relu":
+            y = np.maximum(x, 0.0)
+        elif layer.kind == "maxpool2d":
+            views = _pool_slices(layer, x)
+            y = next(views)
+            aux = np.zeros(y.shape, dtype=np.intp) if route else None
+            for t, view in enumerate(views, 1):
+                if route:
+                    aux[view > y] = t  # strict: a tie keeps the first maximum
+                y = np.maximum(y, view)
+        else:  # flatten
+            y = x.reshape(b, -1)
+        if route:
+            trace.append((x, aux))
+        x = y
+    return x
+
+
+def _backward(net: Network, trace: list, dy: np.ndarray, guided=False, stop=0, grads=None):
+    """Gradient at the input of layer `stop`, from dy (B, n_classes) at the logits.
+
+    trace is _forward's from layer 0. With guided, relu layers also zero
+    negative incoming signals. With a list for grads, appends
+    (layer, dweight, dbias) summed over the batch for each dense and conv layer.
+    """
+    for i in range(len(net.layers) - 1, stop - 1, -1):
+        layer = net.layers[i]
+        x, aux = trace[i]
+        b = x.shape[0]
+        if layer.kind == "dense":
+            if grads is not None:
+                xf = x.reshape(b, -1)
+                dw = (dy[:, :, None] * xf[:, None, :]).sum(axis=0)
+                grads.append((layer, dw, dy.sum(axis=0)))
+            dy = np.matmul(layer.weight.T, dy[:, :, None])[..., 0].reshape(x.shape)
+        elif layer.kind == "conv2d":
+            dy = dy.reshape(b, layer.weight.shape[0], -1)
+            wmat = layer.weight.reshape(layer.weight.shape[0], -1)
+            if grads is not None:
+                dw = np.matmul(dy, aux.transpose(0, 2, 1)).sum(axis=0)
+                grads.append((layer, dw.reshape(layer.weight.shape), dy.sum(axis=2).sum(axis=0)))
+            dy = _col2im(layer, np.matmul(wmat.T, dy), x.shape)
+        elif layer.kind == "relu":
+            mask = x > 0
+            if guided:
+                mask &= dy > 0
+            dy = dy * mask
+        elif layer.kind == "maxpool2d":
+            dy = _unpool(layer, dy, aux, x.shape)
+        else:  # flatten
+            dy = dy.reshape(x.shape)
+    return dy
+
+
+def _trace_one(net: Network, image: np.ndarray):
+    """Logits and trace of one checked image, run at B=1."""
+    trace = []
+    return _forward(net, image[None], trace=trace)[0], trace
 
 
 def forward(net: Network, image: np.ndarray) -> Prediction:
     image = _check_input(net, image)
-    logits, _, _ = _forward_trace(net, image)
+    logits = _forward(net, image[None])[0]
     probs = softmax(logits)
     pred = int(np.argmax(probs))  # first maximum: lowest-index tie-break
     return Prediction(
@@ -308,37 +333,15 @@ def forward(net: Network, image: np.ndarray) -> Prediction:
 def forward_logits_batch(net: Network, images: np.ndarray, start: int = 0) -> np.ndarray:
     """Logits for a batch of images (B, *input_shape) -> (B, n_classes).
 
-    Vectorized across the batch; used by the epsilon search to evaluate
-    many points along a perturbation ray at once. With start > 0 the batch
-    is taken as the activations entering layer `start` (callers that have
-    already evaluated the leading layers).
+    The epsilon search's entry to the engine; nothing else in the package
+    calls it, so its calls count the search's rows. Row i is bit-equal to
+    forward(net, images[i]).logits. With start > 0 the batch is taken as
+    the activations entering layer `start`.
     """
     x = np.asarray(images, dtype=np.float64)
     if start == 0 and x.shape[1:] != net.input_shape:
         raise InputShapeError(f"batch shape {x.shape[1:]} != input shape {net.input_shape}")
-    b = x.shape[0]
-    for layer in net.layers[start:]:
-        if layer.kind == "dense":
-            x = x.reshape(b, -1) @ layer.weight.T + layer.bias
-        elif layer.kind == "conv2d":
-            p, s = layer.padding, layer.stride
-            kh, kw = layer.weight.shape[2:]
-            xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-            win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-            win = win[:, :, ::s, ::s]  # (b, c, oh, ow, kh, kw)
-            y = np.tensordot(win, layer.weight, axes=([1, 4, 5], [1, 2, 3]))
-            x = y.transpose(0, 3, 1, 2) + layer.bias[None, :, None, None]
-        elif layer.kind == "relu":
-            x = np.maximum(x, 0.0)
-        elif layer.kind == "maxpool2d":
-            k, s = layer.size, layer.stride
-            win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-            x = win[:, :, ::s, ::s].max(axis=(-2, -1))
-        elif layer.kind == "flatten":
-            x = x.reshape(b, -1)
-        else:  # pragma: no cover
-            raise UnsupportedArchitectureError(f"unknown layer kind {layer.kind!r}")
-    return x
+    return _forward(net, x, start)
 
 
 def loss(pred: Prediction, label: int) -> float:
@@ -347,13 +350,6 @@ def loss(pred: Prediction, label: int) -> float:
         raise InputShapeError(f"label {label} out of range for {len(pred.probabilities)} classes")
     with np.errstate(divide="ignore"):
         return float(-np.log(pred.probabilities[label]))
-
-
-def _backward_from_logits(net, caches, dlogits, guided=False):
-    dy = dlogits
-    for layer, cache in zip(reversed(net.layers), reversed(caches)):
-        dy, _ = layer.backward(dy, cache, guided=guided)
-    return dy
 
 
 def _loss_seed(logits: np.ndarray, label: int) -> np.ndarray:
@@ -367,8 +363,8 @@ def _gradient(net: Network, image: np.ndarray, label: int, guided: bool) -> np.n
     image = _check_input(net, image)
     if not 0 <= label < net.num_classes:
         raise InputShapeError(f"label {label} out of range for {net.num_classes} classes")
-    logits, _, caches = _forward_trace(net, image)
-    return _backward_from_logits(net, caches, _loss_seed(logits, label), guided=guided)
+    logits, trace = _trace_one(net, image)
+    return _backward(net, trace, _loss_seed(logits, label)[None], guided=guided)[0]
 
 
 def input_gradient(net: Network, image: np.ndarray, label: int) -> np.ndarray:
@@ -392,12 +388,11 @@ def feature_map_gradient(net: Network, image: np.ndarray, class_index: int, laye
         raise MethodInapplicableError(f"layer {layer_index} is not a conv2d layer")
     if not 0 <= class_index < net.num_classes:
         raise InputShapeError(f"class {class_index} out of range")
-    _, outputs, caches = _forward_trace(net, image)
-    dy = np.zeros(net.num_classes)
-    dy[class_index] = 1.0
-    for i in range(len(net.layers) - 1, layer_index, -1):
-        dy, _ = net.layers[i].backward(dy, caches[i], guided=False)
-    return outputs[layer_index], dy
+    _, trace = _trace_one(net, image)
+    dy = np.zeros((1, net.num_classes))
+    dy[0, class_index] = 1.0
+    grad = _backward(net, trace, dy, stop=layer_index + 1)
+    return trace[layer_index + 1][0][0], grad[0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +420,14 @@ class Dataset:
 
 
 def _sgd_step(net, image, label, lr):
-    logits, _, caches = _forward_trace(net, image)
+    logits, trace = _trace_one(net, image)
     m = np.max(logits)
     j = float(np.log(np.exp(logits - m).sum()) + m - logits[label])
-    dy = _loss_seed(logits, label)
     grads = []
-    for layer, cache in zip(reversed(net.layers), reversed(caches)):
-        dy, g = layer.backward(dy, cache, guided=False)
-        grads.append((layer, g))
-    for layer, g in grads:
-        if g is not None:
-            layer.weight -= lr * g["weight"]
-            layer.bias -= lr * g["bias"]
+    _backward(net, trace, _loss_seed(logits, label)[None], grads=grads)
+    for layer, dw, db in grads:
+        layer.weight -= lr * dw
+        layer.bias -= lr * db
     return j
 
 

@@ -120,10 +120,21 @@ def test_exit_code_2_on_config_errors(tmp_path):
         ["train", "--epochs", "-1"],
         ["train", "--lr", "0"],
         ["shuffle-test", "--k-shuffles", "0"],
+        ["train", "--n-images", "0"],
     ],
 )
 def test_exit_code_2_on_out_of_range_values(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    ['{"noise_std": -0.5}', '{"image_size": 6}', '{"n_images": 0}', '{"n_classes": 1}'],
+)
+def test_exit_code_2_on_out_of_range_synthetic_fields(tmp_path, fields):
+    bad = tmp_path / "bad.json"
+    bad.write_text(fields)
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "r")]) == 2
 
 
 def test_exit_code_3_on_data_errors(tmp_path):

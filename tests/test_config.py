@@ -52,6 +52,10 @@ def test_missing_config_file_is_a_config_error(tmp_path):
         {"epochs": -1},
         {"lr": 0.0},
         {"lr": -0.05},
+        {"noise_std": -0.5},
+        {"n_images": 0},
+        {"n_classes": 1},
+        {"image_size": 6},
     ],
 )
 def test_invalid_values_are_rejected(kw):

@@ -84,6 +84,92 @@ def _margin_slope_net(net: Network, reference_class: int) -> Network:
     return Network(layers, net.input_shape)
 
 
+# Blocks start at _FIRST_BLOCK rows and double up to _MAX_BLOCK; one forward
+# call takes at most _CALL_ROWS rows however many rays are searched, so the
+# engine's memory stays flat.
+_FIRST_BLOCK, _MAX_BLOCK, _CALL_ROWS = 8, 64, 64
+
+
+def _check_search(net: Network, image, reference_class: int, step: float, cap: int):
+    """The image as checked float64, after the checks every search shares."""
+    if not (np.isfinite(step) and step > 0):
+        raise InputShapeError(f"step must be finite and > 0, got {step}")
+    if cap < 1:
+        raise InputShapeError("cap must be >= 1")
+    image = _check_input(net, image)
+    if forward(net, image).predicted_class != reference_class:
+        raise InputShapeError(
+            f"reference class {reference_class} is not the prediction at the original image"
+        )
+    return image
+
+
+def _batched_logits(net: Network, batches) -> list[np.ndarray]:
+    """Logits of each (n_i, ...) batch of inputs, n_i <= _CALL_ROWS. Whole
+    batches, taken in order, share forward calls of at most _CALL_ROWS rows;
+    batches are consumed lazily, so only one call's inputs exist at a time."""
+    out, call = [], []
+
+    def run():
+        z = forward_logits_batch(net, call[0] if len(call) == 1 else np.concatenate(call))
+        for xs in call:
+            out.append(z[:len(xs)])
+            z = z[len(xs):]
+        call.clear()
+
+    for xs in batches:
+        if call and sum(map(len, call)) + len(xs) > _CALL_ROWS:
+            run()
+        call.append(xs)
+    if call:
+        run()
+    return out
+
+
+def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[np.ndarray],
+            step: float, cap: int, clip: bool) -> list[tuple[int, bool]]:
+    """find_epsilon's (k, capped) for every ray in r_dirs, searched in lockstep.
+
+    Each ray keeps its own start, block size and certificate. Each round
+    evaluates the next block of every live ray, all blocks together. A row's
+    logits do not depend on its batch, so every ray evaluates exactly the
+    rows it would evaluate alone.
+    """
+    def perturbed(i, ks):
+        xs = image[None] + r_dirs[i][None] * (ks * step).reshape((-1,) + (1,) * image.ndim)
+        return np.clip(xs, 0.0, 1.0) if clip else xs
+
+    others = np.arange(net.num_classes) != reference_class
+    slopes = [z[0, others] for z in _batched_logits(
+        _margin_slope_net(net, reference_class), ((np.abs(r) * step)[None] for r in r_dirs))]
+    found = [(cap, True)] * len(r_dirs)
+    live = {i: (1, _FIRST_BLOCK) for i in range(len(r_dirs))}  # ray: (start, block)
+    while live:
+        blocks = {i: np.arange(start, min(start + block - 1, cap) + 1)
+                  for i, (start, block) in live.items()}
+        logits = _batched_logits(net, (perturbed(i, ks) for i, ks in blocks.items()))
+        next_live = {}
+        for (i, ks), z in zip(blocks.items(), logits):
+            flips = np.argmax(z, axis=1) != reference_class
+            if flips.any():
+                found[i] = int(ks[np.argmax(flips)]), False
+                continue
+            guard = 1e-6 * (1.0 + np.abs(z).max())
+            room = (z[:, [reference_class]] - z)[:, others] - 2.0 * guard
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = np.where(room > 0, room / slopes[i], 0.0)  # room > 0, L_c = 0: inf
+            uncertified = np.ceil(np.max(ks + reach.min(axis=1, initial=np.inf)))
+            next_start = max(ks[-1] + 1, uncertified)
+            if next_start <= cap:
+                # after a skip, one row's certificate mostly reaches past what
+                # a block would cover; otherwise grow blocks, bounded to keep
+                # memory flat
+                skipped = uncertified > ks[-1] + 1
+                next_live[i] = int(next_start), 1 if skipped else min(live[i][1] * 2, _MAX_BLOCK)
+        live = next_live
+    return found
+
+
 def find_epsilon(
     net: Network,
     image: np.ndarray,
@@ -105,54 +191,20 @@ def find_epsilon(
     gives L_c, a bound on how much logit_ref - logit_c changes per step.
     An evaluated k_i with margins m_ic then certifies every
     k < k_i + min_c (m_ic - 2g) / L_c, where the guard
-    g = 1e-6 * (1 + max|logits|) dwarfs float64 rounding in the logits.
-    The next block starts at the first k no evaluated row certifies; past
-    cap, the search returns (cap, True). Blocks start at 8 rows, double up
-    to 64 while nothing is skipped, and drop to 1 row after a skip.
+    g = 1e-6 * (1 + max|logits|) over k_i's block dwarfs float64 rounding
+    in the logits. The next block starts at the first k no evaluated row
+    certifies; past cap, the search returns (cap, True). Blocks start at 8
+    rows, double up to 64 while nothing is skipped, and drop to 1 row after
+    a skip.
+
+    This is the one-ray case of the lockstep search that gaps() runs over
+    all the rays of an image, whose blocks share forward calls of at most
+    64 rows; both give each ray the same rows and the same result.
     """
-    if step <= 0:
-        raise InputShapeError("step must be > 0")
-    if cap < 1:
-        raise InputShapeError("cap must be >= 1")
-    image = _check_input(net, image)
-    if forward(net, image).predicted_class != reference_class:
-        raise InputShapeError(
-            f"reference class {reference_class} is not the prediction at the original image"
-        )
+    image = _check_search(net, image, reference_class, step, cap)
     if r_dir.shape != image.shape:
         raise InputShapeError(f"directed map shape {r_dir.shape} != image shape {image.shape}")
-
-    others = np.arange(net.num_classes) != reference_class
-    slopes = forward_logits_batch(
-        _margin_slope_net(net, reference_class), (np.abs(r_dir) * step)[None]
-    )[0, others]
-
-    start = 1
-    block = 8
-    while start <= cap:
-        end = min(start + block - 1, cap)
-        ks = np.arange(start, end + 1)
-        scale = (ks * step).reshape((-1,) + (1,) * image.ndim)
-        xs = image[None] + r_dir[None] * scale
-        if clip:
-            xs = np.clip(xs, 0.0, 1.0)
-        logits = forward_logits_batch(net, xs)
-        flips = np.argmax(logits, axis=1) != reference_class
-        if flips.any():
-            return int(ks[int(np.argmax(flips))]), False
-        guard = 1e-6 * (1.0 + np.abs(logits).max())
-        room = (logits[:, [reference_class]] - logits)[:, others] - 2.0 * guard
-        with np.errstate(divide="ignore", invalid="ignore"):
-            reach = np.where(room > 0, room / slopes, 0.0)  # room > 0, L_c = 0: inf
-        uncertified = np.ceil(np.max(ks + reach.min(axis=1, initial=np.inf)))
-        if uncertified > cap:
-            break
-        skipped = uncertified > end + 1
-        start = max(end + 1, int(uncertified))
-        # after a skip, one row's certificate mostly reaches past what a
-        # block would cover; otherwise grow blocks, bounded to keep memory flat
-        block = 1 if skipped else min(block * 2, 64)
-    return cap, True
+    return _search(net, image, reference_class, [r_dir], step, cap, clip)[0]
 
 
 def find_epsilon_scan(
@@ -167,11 +219,7 @@ def find_epsilon_scan(
     """Exhaustive linear scan over k = 1..cap, one forward per k; the
     reference for find_epsilon's blocks and skips, on the same evaluator.
     O(cap) forward passes, use only at small caps."""
-    if step <= 0 or cap < 1:
-        raise InputShapeError("step must be > 0 and cap >= 1")
-    image = _check_input(net, image)
-    if forward(net, image).predicted_class != reference_class:
-        raise InputShapeError("reference class mismatch at the original image")
+    image = _check_search(net, image, reference_class, step, cap)
     for k in range(1, cap + 1):
         x = image + r_dir * (k * step)
         if clip:
@@ -179,6 +227,21 @@ def find_epsilon_scan(
         if forward(net, x).predicted_class != reference_class:
             return k, False
     return cap, True
+
+
+def _ray_pair(rmap: RelevanceMap | np.ndarray, grad: np.ndarray):
+    """Directed relevance and irrelevance rays of one final-stage map."""
+    values = rmap.values if isinstance(rmap, RelevanceMap) else np.asarray(rmap)
+    if not np.all(np.isfinite(values)):
+        raise InputShapeError("gap needs a map with finite values")
+    if values.min() < 0 or values.max() > 1:
+        raise InputShapeError("gap needs a final-stage map with values in [0, 1]")
+    return direct(normalize_l1(values), grad), direct(normalize_l1(irrelevance(values)), grad)
+
+
+def _gap_result(minus: tuple[int, bool], plus: tuple[int, bool], step: float) -> GapResult:
+    return GapResult(eps_minus=minus[0], eps_plus=plus[0], gap=plus[0] - minus[0],
+                     step_size=step, capped_minus=minus[1], capped_plus=plus[1])
 
 
 def gap(
@@ -196,22 +259,40 @@ def gap(
     the reference class (for misclassified samples callers pass the model's
     prediction). Relevance and irrelevance searches share that sign.
     """
-    values = rmap.values if isinstance(rmap, RelevanceMap) else np.asarray(rmap)
-    if values.min() < 0 or values.max() > 1:
-        raise InputShapeError("gap needs a final-stage map with values in [0, 1]")
+    r_dir, ri_dir = _ray_pair(rmap, input_gradient(net, image, reference_class))
+    return _gap_result(find_epsilon(net, image, reference_class, r_dir, step, cap, clip),
+                       find_epsilon(net, image, reference_class, ri_dir, step, cap, clip),
+                       step)
+
+
+def gaps(
+    net: Network,
+    image: np.ndarray,
+    reference_class: int,
+    maps: list[RelevanceMap | np.ndarray],
+    step: float = 1.0,
+    cap: int = 10_000,
+    clip: bool = False,
+) -> list[GapResult | None]:
+    """gap() of every map of one image, None where a map (or its
+    irrelevance) is all zero and the gap is undefined.
+
+    The checks, the reference forward and the gradient sign are done once,
+    and the 2 * len(maps) rays are searched in lockstep, so their blocks
+    share forward calls. The results equal gap() on each map.
+    """
+    image = _check_search(net, image, reference_class, step, cap)
     grad = input_gradient(net, image, reference_class)
-    r_dir = direct(normalize_l1(values), grad)
-    ri_dir = direct(normalize_l1(irrelevance(values)), grad)
-    eps_minus, capped_minus = find_epsilon(net, image, reference_class, r_dir, step, cap, clip)
-    eps_plus, capped_plus = find_epsilon(net, image, reference_class, ri_dir, step, cap, clip)
-    return GapResult(
-        eps_minus=eps_minus,
-        eps_plus=eps_plus,
-        gap=eps_plus - eps_minus,
-        step_size=step,
-        capped_minus=capped_minus,
-        capped_plus=capped_plus,
-    )
+    pairs = []
+    for rmap in maps:
+        try:
+            pairs.append(_ray_pair(rmap, grad))
+        except ZeroMapError:
+            pairs.append(None)
+    rays = [ray for pair in pairs if pair is not None for ray in pair]
+    found = iter(_search(net, image, reference_class, rays, step, cap, clip))
+    return [None if pair is None else _gap_result(next(found), next(found), step)
+            for pair in pairs]
 
 
 def apem(gaps) -> float:

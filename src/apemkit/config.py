@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -22,6 +23,13 @@ def _has_type(value, type_name: str) -> bool:
     if type_name == "list[str]":
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
     return isinstance(value, _FIELD_TYPES[type_name])
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass
@@ -79,6 +87,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if not _has_type(value, f.type):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not _is_finite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.dataset_kind not in ("synthetic", "idx"):
             raise ConfigError(f"dataset_kind must be 'synthetic' or 'idx', got {self.dataset_kind!r}")
         if self.dataset_kind == "idx" and not (self.dataset_images and self.dataset_labels):

@@ -12,11 +12,11 @@ from apemkit.apem import (
     find_epsilon,
     find_epsilon_scan,
     gap,
+    gaps,
     normalize_l1,
     shuffle_map,
 )
 from apemkit.cli import main
-from apemkit.errors import ZeroMapError
 from apemkit.explain import (
     METHOD_NAMES,
     compute_map,
@@ -46,15 +46,9 @@ def announce(capfd):
 # ---------------------------------------------------------------------------
 
 
-def _stage3_gap(net, image, ref, raw, cap=2500):
-    """Gap of the fully simplified map; None when capped or undefined."""
-    try:
-        g = gap(net, image, ref, simplify(raw, image, stage=3), cap=cap)
-    except ZeroMapError:
-        return None
-    if g.capped_minus or g.capped_plus:
-        return None
-    return g.gap
+def _defined_gap(g):
+    """The gap, or None when it is undefined (all-zero map) or capped."""
+    return None if g is None or g.capped_minus or g.capped_plus else g.gap
 
 
 @pytest.fixture(scope="session")
@@ -67,28 +61,18 @@ def desk_eval(desk_model, desk_test_set):
         label = int(desk_test_set.labels[idx])
         pred = forward(desk_model, image)
         ref = pred.predicted_class
-        rec = {
+        raws = [compute_map(desk_model, image, method, target=ref) for method in METHOD_NAMES]
+        grad_raw = raws[METHOD_NAMES.index("gradient")]
+        maps = [simplify(raw, image, stage=3) for raw in raws]
+        maps += [simplify(grad_raw, image, stage=stage) for stage in (1, 2)]
+        found = [_defined_gap(g) for g in gaps(desk_model, image, ref, maps, cap=2500)]
+        records.append({
             "correct": ref == label,
             "confidence": pred.confidence,
             "loss": loss(pred, label),
-            "gaps": {},
-            "grad_stage": {},
-        }
-        grad_raw = None
-        for method in METHOD_NAMES:
-            raw = compute_map(desk_model, image, method, target=ref)
-            if method == "gradient":
-                grad_raw = raw
-            rec["gaps"][method] = _stage3_gap(desk_model, image, ref, raw)
-        for stage in (1, 2):
-            try:
-                g = gap(desk_model, image, ref, simplify(grad_raw, image, stage=stage), cap=2500)
-                rec["grad_stage"][stage] = (
-                    None if (g.capped_minus or g.capped_plus) else g.gap
-                )
-            except ZeroMapError:
-                rec["grad_stage"][stage] = None
-        records.append(rec)
+            "gaps": dict(zip(METHOD_NAMES, found)),
+            "grad_stage": {1: found[-2], 2: found[-1]},
+        })
     return records
 
 
@@ -190,11 +174,11 @@ def test_criterion_05_shuffle_neutrality(announce, desk_model, desk_test_set):
         image = desk_test_set.images[idx]
         ref = forward(desk_model, image).predicted_class
         rmap = simplify(gradient_map(desk_model, image, target=ref), image, stage=3)
-        g0 = gap(desk_model, image, ref, rmap, step=step, cap=cap)
+        maps = [rmap] + [shuffle_map(rmap, seed=idx * 101 + s) for s in range(k_shuffles)]
+        g0, *shuffled_results = gaps(desk_model, image, ref, maps, step=step, cap=cap)
         if not (g0.capped_minus or g0.capped_plus):
             unshuffled.append(g0.gap)
-        for s in range(k_shuffles):
-            g = gap(desk_model, image, ref, shuffle_map(rmap, seed=idx * 101 + s), step=step, cap=cap)
+        for g in shuffled_results:
             if not (g.capped_minus or g.capped_plus):
                 shuffled_gaps.append(g.gap)
 

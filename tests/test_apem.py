@@ -14,12 +14,13 @@ from apemkit.apem import (
     find_epsilon_scan,
     gap,
     gap_quartiles,
+    gaps,
     irrelevance,
     normalize_l1,
     shuffle_map,
 )
 from apemkit.errors import InputShapeError, ZeroMapError
-from apemkit.explain import RelevanceMap, compute_map, simplify
+from apemkit.explain import METHOD_NAMES, RelevanceMap, compute_map, simplify
 from apemkit.netcore import Dense, Network, ReLU, forward, input_gradient
 
 from conftest import random_net
@@ -99,6 +100,9 @@ def test_find_epsilon_rejects_bad_reference_and_params():
         find_epsilon(net, x, 0, np.array([0.0, 0.1]), step=0.0)
     with pytest.raises(InputShapeError):
         find_epsilon(net, x, 0, np.array([0.0, 0.1]), cap=0)
+    for step in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputShapeError):
+            find_epsilon(net, x, 0, np.array([0.0, 0.1]), step=step)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -299,6 +303,71 @@ def test_gap_accepts_relevance_map_objects(desk_model, desk_test_set):
     a = gap(desk_model, image, ref, RelevanceMap(values=values, stage=3), cap=4000)
     b = gap(desk_model, image, ref, values, cap=4000)
     assert (a.eps_minus, a.eps_plus) == (b.eps_minus, b.eps_plus)
+
+
+def _gap_or_none(net, image, ref, values, step, cap, clip):
+    try:
+        return gap(net, image, ref, values, step, cap, clip)
+    except ZeroMapError:
+        return None
+
+
+# (image, step, clip) at cap 2500: image 2 has capped rays
+@pytest.mark.parametrize("idx, step, clip", [(2, 1.0, False), (2, 1.0, True), (36, 0.5, False)])
+def test_gaps_equal_gap_per_map_in_fewer_calls(monkeypatch, desk_model, desk_test_set,
+                                               idx, step, clip):
+    cap = 2500
+    image = desk_test_set.images[idx]
+    ref = forward(desk_model, image).predicted_class
+    maps = [simplify(compute_map(desk_model, image, m, target=ref), image, stage=3)
+            for m in METHOD_NAMES]
+    maps += [np.zeros((28, 28)), np.ones((28, 28))]
+    rows = _count_rows(monkeypatch)
+    each = [_gap_or_none(desk_model, image, ref, m, step, cap, clip) for m in maps]
+    each_rows = list(rows)
+    rows.clear()
+    together = gaps(desk_model, image, ref, maps, step, cap, clip)
+    assert together == each
+    assert together[-2:] == [None, None]
+    assert max(rows) <= 64
+    assert sum(rows) == sum(each_rows)
+    assert len(rows) < len(each_rows)
+    if idx == 2:
+        assert any(g.capped_minus or g.capped_plus for g in together[:-2])
+
+
+def test_gaps_skip_undefined_maps_without_a_search(monkeypatch):
+    net = random_net(3)
+    image = np.random.default_rng(3).uniform(0, 1, (1, 8, 8))
+    ref = forward(net, image).predicted_class
+    rows = _count_rows(monkeypatch)
+    assert gaps(net, image, ref, [np.zeros((8, 8)), np.ones((8, 8))]) == [None, None]
+    assert gaps(net, image, ref, []) == []
+    assert rows == []
+
+
+@pytest.mark.parametrize(
+    "ref_shift, bad_value, step, cap",
+    [
+        (1, None, 1.0, 50),  # not the prediction at the original image
+        (0, 1.5, 1.0, 50),
+        (0, np.nan, 1.0, 50),
+        (0, None, np.nan, 50),
+        (0, None, np.inf, 50),
+        (0, None, 1.0, 0),
+    ],
+)
+def test_gaps_reject_what_gap_rejects(ref_shift, bad_value, step, cap):
+    net = random_net(2)
+    image = np.random.default_rng(2).uniform(0, 1, (1, 8, 8))
+    ref = (forward(net, image).predicted_class + ref_shift) % 5
+    maps = [np.full((8, 8), 0.5)]
+    if bad_value is not None:
+        maps.append(np.full((8, 8), bad_value))
+    with pytest.raises(InputShapeError):
+        gaps(net, image, ref, maps, step, cap)
+    with pytest.raises(InputShapeError):
+        gap(net, image, ref, maps[-1], step, cap)
 
 
 # ---------------------------------------------------------------------------

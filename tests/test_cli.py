@@ -121,6 +121,12 @@ def test_exit_code_2_on_config_errors(tmp_path):
         ["train", "--lr", "0"],
         ["shuffle-test", "--k-shuffles", "0"],
         ["train", "--n-images", "0"],
+        ["evaluate", "--step", "nan"],
+        ["evaluate", "--step", "inf"],
+        ["train", "--lr", "nan"],
+        ["explain", "--sigma", "nan"],
+        ["explain", "--lrp-epsilon", "inf"],
+        ["filter", "--batch-fraction", "nan"],
     ],
 )
 def test_exit_code_2_on_out_of_range_values(tmp_path, argv):
@@ -129,7 +135,8 @@ def test_exit_code_2_on_out_of_range_values(tmp_path, argv):
 
 @pytest.mark.parametrize(
     "fields",
-    ['{"noise_std": -0.5}', '{"image_size": 6}', '{"n_images": 0}', '{"n_classes": 1}'],
+    ['{"noise_std": -0.5}', '{"image_size": 6}', '{"n_images": 0}', '{"n_classes": 1}',
+     '{"noise_std": NaN}'],
 )
 def test_exit_code_2_on_out_of_range_synthetic_fields(tmp_path, fields):
     bad = tmp_path / "bad.json"

@@ -56,6 +56,16 @@ def test_missing_config_file_is_a_config_error(tmp_path):
         {"n_images": 0},
         {"n_classes": 1},
         {"image_size": 6},
+        {"step": float("nan")},
+        {"step": float("inf")},
+        {"sigma": float("nan")},
+        {"sigma": float("inf")},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"lrp_epsilon": float("inf")},
+        {"noise_std": float("nan")},
+        {"batch_fraction": float("nan")},
+        {"step": float("-inf")},
     ],
 )
 def test_invalid_values_are_rejected(kw):
@@ -78,6 +88,16 @@ def test_invalid_values_are_rejected(kw):
     ],
 )
 def test_json_values_of_the_wrong_type_are_rejected(text):
+    with pytest.raises(ConfigError):
+        RunConfig.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"step": NaN}', '{"lr": Infinity}', '{"sigma": -Infinity}', '{"step": 1e400}',
+     '{"step": 1' + "0" * 400 + "}"],
+)
+def test_json_non_finite_floats_are_rejected(text):
     with pytest.raises(ConfigError):
         RunConfig.from_json(text)
 

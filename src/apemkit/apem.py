@@ -31,7 +31,6 @@ class GapResult:
     eps_minus: int
     eps_plus: int
     gap: int
-    step_size: float
     capped_minus: bool
     capped_plus: bool
 
@@ -239,9 +238,8 @@ def _ray_pair(rmap: RelevanceMap | np.ndarray, grad: np.ndarray):
     return direct(normalize_l1(values), grad), direct(normalize_l1(irrelevance(values)), grad)
 
 
-def _gap_result(minus: tuple[int, bool], plus: tuple[int, bool], step: float) -> GapResult:
-    return GapResult(eps_minus=minus[0], eps_plus=plus[0], gap=plus[0] - minus[0],
-                     step_size=step, capped_minus=minus[1], capped_plus=plus[1])
+def _gap_result(minus: tuple[int, bool], plus: tuple[int, bool]) -> GapResult:
+    return GapResult(minus[0], plus[0], plus[0] - minus[0], minus[1], plus[1])
 
 
 def gap(
@@ -261,8 +259,7 @@ def gap(
     """
     r_dir, ri_dir = _ray_pair(rmap, input_gradient(net, image, reference_class))
     return _gap_result(find_epsilon(net, image, reference_class, r_dir, step, cap, clip),
-                       find_epsilon(net, image, reference_class, ri_dir, step, cap, clip),
-                       step)
+                       find_epsilon(net, image, reference_class, ri_dir, step, cap, clip))
 
 
 def gaps(
@@ -291,7 +288,7 @@ def gaps(
             pairs.append(None)
     rays = [ray for pair in pairs if pair is not None for ray in pair]
     found = iter(_search(net, image, reference_class, rays, step, cap, clip))
-    return [None if pair is None else _gap_result(next(found), next(found), step)
+    return [None if pair is None else _gap_result(next(found), next(found))
             for pair in pairs]
 
 

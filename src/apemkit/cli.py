@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import astuple
 from pathlib import Path
 
 import click
@@ -129,11 +130,10 @@ def image_maps(net: Network, cfg: RunConfig, idx: int, image: np.ndarray, ref: i
 
 
 def gap_fields(net: Network, cfg: RunConfig, image: np.ndarray, ref: int, rmaps) -> list:
-    """eps_minus, eps_plus, gap, capped_minus, capped_plus of each map of one
-    image, from one lockstep search; all empty where a map is all zero and
-    its gap is undefined."""
+    """The GapResult fields of each map of one image, from one lockstep
+    search; all empty where a map is all zero and its gap is undefined."""
     return [
-        [""] * 5 if g is None else [g.eps_minus, g.eps_plus, g.gap, g.capped_minus, g.capped_plus]
+        ("",) * len(stats_mod.GAP_COLUMNS) if g is None else astuple(g)
         for g in gaps(net, image, ref, rmaps, cfg.step, cfg.cap, cfg.clip)
     ]
 
@@ -155,9 +155,8 @@ def evaluate_one(net: Network, cfg: RunConfig, idx: int, image: np.ndarray, labe
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(model_path: str, cfg_json: str):
-    _WORKER_STATE["net"] = load_model(model_path)
-    _WORKER_STATE["cfg"] = RunConfig.from_json(cfg_json)
+def _init_worker(net: Network, cfg: RunConfig):
+    _WORKER_STATE["net"], _WORKER_STATE["cfg"] = net, cfg
 
 
 def _evaluate_task(args):
@@ -165,14 +164,14 @@ def _evaluate_task(args):
     return evaluate_one(_WORKER_STATE["net"], _WORKER_STATE["cfg"], idx, image, label)
 
 
-def run_evaluate(cfg: RunConfig, net: Network, ds: Dataset, model_path: str) -> list[list]:
+def run_evaluate(cfg: RunConfig, net: Network, ds: Dataset) -> list[list]:
     tasks = [(i, ds.images[i], int(ds.labels[i])) for i in range(len(ds))]
-    workers = cfg.workers or os.cpu_count() or 1
-    if workers > 1 and len(tasks) > 1:
+    workers = min(cfg.workers or os.cpu_count() or 1, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(model_path, cfg.to_json()),
+            initargs=(net, cfg),
         ) as pool:
             chunks = list(pool.map(_evaluate_task, tasks, chunksize=1))
     else:
@@ -300,7 +299,7 @@ def cmd_explain(config_path, **kw):
 def cmd_evaluate(config_path, **kw):
     """Per-image gap CSV, split into correct and misclassified subsets."""
     cfg, out, net, ds = setup(config_path, kw)
-    rows = run_evaluate(cfg, net, ds, cfg.model or str(out / "model.net"))
+    rows = run_evaluate(cfg, net, ds)
     write_csv(out / "results" / "per_image.csv", stats_mod.CSV_COLUMNS, rows)
     correct = [r for r in rows if r[8] == r[9]]
     wrong = [r for r in rows if r[8] != r[9]]
@@ -319,10 +318,7 @@ def cmd_evaluate(config_path, **kw):
 def cmd_shuffle_test(config_path, k_shuffles, **kw):
     """Gap rows for k shuffled copies of each map, per simplification stage."""
     cfg, out, net, ds = setup(config_path, kw)
-    header = [
-        "image_id", "method", "stage", "shuffle_index",
-        "eps_minus", "eps_plus", "gap", "capped_minus", "capped_plus",
-    ]
+    header = ["image_id", "method", "stage", "shuffle_index", *stats_mod.GAP_COLUMNS]
     rows = []
     for idx, image in enumerate(ds.images):
         ref = forward(net, image).predicted_class
@@ -330,7 +326,7 @@ def cmd_shuffle_test(config_path, k_shuffles, **kw):
         for method, stage, _, rmap in image_maps(net, cfg, idx, image, ref, cfg.methods[:1],
                                                  (1, 2, 3)):
             for s in range(k_shuffles):
-                keys.append([f"img{idx:05d}", method, stage, s])
+                keys.append((f"img{idx:05d}", method, stage, s))
                 shuffled.append(shuffle_map(rmap, seed=image_seed(cfg.seed, idx) + s + 1))
         rows += [key + f for key, f in zip(keys, gap_fields(net, cfg, image, ref, shuffled))]
     write_csv(out / "results" / "shuffle.csv", header, rows)
@@ -376,18 +372,9 @@ def cmd_report(config_path, **kw):
         raise DataError(f"missing {per_image}; run 'apemkit evaluate' first")
     rows = stats_mod.read_rows(per_image)
 
-    def summary_rows(summaries):
-        return [
-            [s.method, s.stage, s.n_images, s.n_defined, s.mean_gap, s.median_gap,
-             s.q1, s.q3, s.capped_count, s.undefined_count]
-            for s in summaries
-        ]
-
-    header = ["method", "stage", "n_images", "n_defined", "mean_gap", "median_gap",
-              "q1", "q3", "capped_count", "undefined_count"]
-    write_csv(out / "reports" / "summary.csv", header, summary_rows(stats_mod.summarize(rows)))
-    write_csv(out / "reports" / "summary_split.csv", header,
-              summary_rows(stats_mod.summarize(rows, split_by_correct=True)))
+    for name, split in (("summary.csv", False), ("summary_split.csv", True)):
+        write_csv(out / "reports" / name, stats_mod.columns(stats_mod.MethodSummary),
+                  map(astuple, stats_mod.summarize(rows, split_by_correct=split)))
 
     # pairwise win/tie/loss fractions and eps_plus difference histograms,
     # per stage and method pair, over the images both measured
@@ -412,15 +399,14 @@ def cmd_report(config_path, **kw):
                                 len(measured[a].keys() | measured[b].keys())])
                 continue
             pw = stats_mod.pairwise(column(a, "gap"), column(b, "gap"))
-            pw_rows.append([a[0], b[0], a[1], pw.better, pw.equal, pw.worse,
-                            pw.n_compared, pw.n_excluded])
+            pw_rows.append([a[0], b[0], a[1], *astuple(pw)])
             _, counts, edges = stats_mod.epsilon_plus_diff(column(a, "eps_plus"),
                                                            column(b, "eps_plus"))
             for i, c in enumerate(counts):
                 diff_rows.append([a[0], b[0], a[1], edges[i], edges[i + 1], int(c)])
     write_csv(out / "reports" / "pairwise.csv",
-              ["method_a", "method_b", "stage", "better", "equal", "worse",
-               "n_compared", "n_excluded"], pw_rows)
+              ["method_a", "method_b", "stage", *stats_mod.columns(stats_mod.PairwiseResult)],
+              pw_rows)
     write_csv(out / "reports" / "eps_plus_diff.csv",
               ["method_a", "method_b", "stage", "bin_lo", "bin_hi", "count"], diff_rows)
 
@@ -440,18 +426,18 @@ def cmd_report(config_path, **kw):
                 continue
             res = stats_mod.spearman([float(r["gap"]) for r in sel],
                                      [float(r["loss"]) for r in sel], seed=cfg.seed)
-            corr_rows.append([f"{method}_gap", "loss", stage, subset_name,
-                              res.rho, res.p_value, res.n, res.reason])
+            corr_rows.append([f"{method}_gap", "loss", stage, subset_name, *astuple(res)])
         dedup = {}
         for r in subset:
             dedup[r["image_id"]] = (float(r["confidence"]), float(r["loss"]))
         if len(dedup) >= 3:
             conf, lo = zip(*dedup.values())
             res = stats_mod.spearman(conf, lo, seed=cfg.seed)
-            corr_rows.append(["confidence", "loss", "", subset_name,
-                              res.rho, res.p_value, res.n, res.reason])
+            corr_rows.append(["confidence", "loss", "", subset_name, *astuple(res)])
+    # the reason a correlation is undefined goes in the "note" column
+    corr_header = [*stats_mod.columns(stats_mod.CorrelationResult)[:-1], "note"]
     write_csv(out / "reports" / "correlation.csv",
-              ["var_x", "var_y", "stage", "subset", "rho", "p_value", "n", "note"], corr_rows)
+              ["var_x", "var_y", "stage", "subset", *corr_header], corr_rows)
     click.echo(f"reports -> {out / 'reports'}")
 
 

@@ -73,7 +73,6 @@ def synthetic_dataset(
     image_size: int = 28,
     seed: int = 0,
     noise_std: float = 0.3,
-    template_seed: int = 0,
 ) -> Dataset:
     """Seeded synthetic classification set.
 
@@ -83,14 +82,14 @@ def synthetic_dataset(
     [0, 1]. The localized bump gives each class a compact discriminative
     region (so relevance maps have meaningful structure), while the noise
     level makes some samples genuinely ambiguous, so a trained model
-    misclassifies a fraction of them. Templates depend only on
-    template_seed (and the class count/size), so draws with different
-    sample seeds share the same classes.
+    misclassifies a fraction of them. Templates are drawn from a fixed
+    RNG seed (0) and depend only on the class count and size, so draws
+    with different sample seeds share the same classes.
     """
     if n_images < 1 or n_classes < 2 or image_size < 8:
         raise DataError("synthetic dataset needs n_images >= 1, n_classes >= 2, size >= 8")
     rng = np.random.default_rng(seed)
-    template_rng = np.random.default_rng(template_seed)
+    template_rng = np.random.default_rng(0)
     coarse = max(4, image_size // 4)
     bg = bilinear_resize(template_rng.normal(size=(coarse, coarse)), image_size, image_size)
     bg = (bg - bg.min()) / (bg.max() - bg.min())

@@ -35,9 +35,6 @@ METHOD_NAMES = (
     "guided_gradcam",
 )
 
-STAGE_NAMES = {1: "channel-summed", 2: "clamped", 3: "image-multiplied"}
-
-
 @dataclass(frozen=True)
 class RawAttribution:
     values: np.ndarray  # same shape as the input image

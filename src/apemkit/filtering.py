@@ -1,10 +1,10 @@
 """Gap-preserving relevance-map cleaning.
 
 Iteratively zeroes the smallest non-zero map values in batches; each batch
-is kept only if the per-image gap does not drop below the best gap seen so
-far. The first batch that makes the gap drop is reverted and the loop stops.
-Kept values are never rescaled; l1 normalization inside the gap computation
-redistributes the mass automatically.
+is kept only if the per-image gap does not drop below the gap of the map
+kept so far. The first batch that makes the gap drop is reverted and the
+loop stops. Kept values are never rescaled; l1 normalization inside the gap
+computation redistributes the mass automatically.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def filter_map(
     except ZeroMapError as e:
         raise ZeroMapError(f"filter inapplicable: {e}") from e
 
-    best = original
     current_gap = original
     iterations: list[FilterIteration] = []
     reverted = False
@@ -75,13 +74,12 @@ def filter_map(
         except ZeroMapError:
             reverted = True  # zeroing left nothing to normalize
             break
-        if new_gap < best:
+        if new_gap < current_gap:
             reverted = True
             break
         iterations.append(FilterIteration(threshold=threshold, zeroed=zeroed, gap=new_gap))
         values = candidate
         current_gap = new_gap
-        best = max(best, new_gap)
 
     return FilterTrace(
         iterations=iterations,

@@ -96,25 +96,29 @@ def load_model(path) -> Network:
         pos += n
         return arr
 
-    layers = []
-    for spec in header["layers"]:
-        kind = spec.get("kind")
-        if kind == "dense":
-            w = take(spec["weight_shape"])
-            b = take([spec["weight_shape"][0]])
-            layers.append(Dense(w, b))
-        elif kind == "conv2d":
-            w = take(spec["weight_shape"])
-            b = take([spec["weight_shape"][0]])
-            layers.append(Conv2D(w, b, stride=spec["stride"], padding=spec["padding"]))
-        elif kind == "relu":
-            layers.append(ReLU())
-        elif kind == "maxpool2d":
-            layers.append(MaxPool2D(size=spec["size"], stride=spec["stride"]))
-        elif kind == "flatten":
-            layers.append(Flatten())
-        else:
-            raise FormatError(f"{path}: unknown layer kind {kind!r}")
-    if pos != len(body):
-        raise FormatError(f"{path}: {len(body) - pos} trailing bytes after weights")
-    return Network(layers, header["input_shape"])
+    try:
+        layers = []
+        for spec in header["layers"]:
+            kind = spec.get("kind")
+            if kind == "dense":
+                w = take(spec["weight_shape"])
+                b = take([spec["weight_shape"][0]])
+                layers.append(Dense(w, b))
+            elif kind == "conv2d":
+                w = take(spec["weight_shape"])
+                b = take([spec["weight_shape"][0]])
+                layers.append(Conv2D(w, b, stride=spec["stride"], padding=spec["padding"]))
+            elif kind == "relu":
+                layers.append(ReLU())
+            elif kind == "maxpool2d":
+                layers.append(MaxPool2D(size=spec["size"], stride=spec["stride"]))
+            elif kind == "flatten":
+                layers.append(Flatten())
+            else:
+                raise FormatError(f"{path}: unknown layer kind {kind!r}")
+        if pos != len(body):
+            raise FormatError(f"{path}: {len(body) - pos} trailing bytes after weights")
+        return Network(layers, header["input_shape"])
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        # a checksummed file whose header lacks a key or holds a bad value
+        raise FormatError(f"{path}: malformed header: {type(e).__name__} {e}") from e

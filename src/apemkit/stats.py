@@ -9,27 +9,23 @@ permutation test for significance.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.stats import rankdata
 
+from .apem import GapResult, apem, gap_quartiles
 from .errors import DataError
 
-CSV_COLUMNS = [
-    "image_id",
-    "method",
-    "stage",
-    "eps_minus",
-    "eps_plus",
-    "gap",
-    "capped_minus",
-    "capped_plus",
-    "predicted_class",
-    "true_class",
-    "confidence",
-    "loss",
-]
+
+def columns(cls) -> list[str]:
+    """Field names of a result dataclass: the column names of its table."""
+    return [f.name for f in fields(cls)]
+
+
+GAP_COLUMNS = columns(GapResult)
+CSV_COLUMNS = ["image_id", "method", "stage", *GAP_COLUMNS,
+               "predicted_class", "true_class", "confidence", "loss"]
 
 
 @dataclass(frozen=True)
@@ -48,21 +44,41 @@ class MethodSummary:
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    var_x: str
-    var_y: str
     rho: float | None
     p_value: float | None
     n: int
     reason: str | None = None
 
 
+# a parser per typed column; each raises ValueError on a malformed field
+_FIELD_CHECKS = {
+    **dict.fromkeys(("stage", "predicted_class", "true_class"), int),
+    **dict.fromkeys(("eps_minus", "eps_plus", "gap"), lambda v: v == "" or int(v)),
+    **dict.fromkeys(("capped_minus", "capped_plus"), ("True", "False", "").index),
+    **dict.fromkeys(("confidence", "loss"), float),
+}
+
+
 def read_rows(path) -> list[dict]:
+    """Rows of a per-image CSV; DataError names the first malformed line."""
     with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    for row in rows:
-        missing = [c for c in CSV_COLUMNS if c not in row]
+        reader = csv.DictReader(f)
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise DataError(f"{path}: rows missing columns {missing}")
+        rows = []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if None in row or None in row.values():
+                raise DataError(f"{where}: expected {len(reader.fieldnames)} fields")
+            for column, check in _FIELD_CHECKS.items():
+                try:
+                    check(row[column])
+                except ValueError:
+                    raise DataError(f"{where}: bad {column} {row[column]!r}") from None
+            if len({row[c] == "" for c in ("eps_minus", "eps_plus", "gap")}) > 1:
+                raise DataError(f"{where}: eps_minus, eps_plus and gap are partly empty")
+            rows.append(row)
     return rows
 
 
@@ -84,48 +100,24 @@ def summarize(rows, split_by_correct: bool = False) -> list[MethodSummary]:
     into separate summaries keyed by a method suffix."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        key = (row["method"], int(row["stage"]))
+        method = row["method"]
         if split_by_correct:
             correct = row["predicted_class"] == row["true_class"]
-            key = (row["method"] + ("/correct" if correct else "/misclassified"), int(row["stage"]))
-        groups.setdefault(key, []).append(row)
+            method += "/correct" if correct else "/misclassified"
+        groups.setdefault((method, int(row["stage"])), []).append(row)
 
     out = []
     for (method, stage), grp in sorted(groups.items()):
         # capped rows are excluded from the statistics and counted separately
-        defined = [float(r["gap"]) for r in grp if row_is_measured(r)]
+        measured = [float(r["gap"]) for r in grp if row_is_measured(r)]
+        mean = apem(measured) if measured else None
+        q1, median, q3 = gap_quartiles(measured) if measured else (None, None, None)
         capped = sum(
             1 for r in grp if r["capped_minus"] == "True" or r["capped_plus"] == "True"
         )
         undefined = sum(1 for r in grp if not row_is_defined(r))
-        if defined:
-            q1, med, q3 = np.percentile(defined, [25, 50, 75])
-            summary = MethodSummary(
-                method=method,
-                stage=stage,
-                n_images=len(grp),
-                n_defined=len(defined),
-                mean_gap=float(np.mean(defined)),
-                median_gap=float(med),
-                q1=float(q1),
-                q3=float(q3),
-                capped_count=capped,
-                undefined_count=undefined,
-            )
-        else:
-            summary = MethodSummary(
-                method=method,
-                stage=stage,
-                n_images=len(grp),
-                n_defined=0,
-                mean_gap=None,
-                median_gap=None,
-                q1=None,
-                q3=None,
-                capped_count=capped,
-                undefined_count=undefined,
-            )
-        out.append(summary)
+        out.append(MethodSummary(method, stage, len(grp), len(measured), mean, median, q1, q3,
+                                 capped, undefined))
     return out
 
 
@@ -186,7 +178,7 @@ def spearman(
     sy = ry.std()
     if sx == 0 or sy == 0:
         which = "x" if sx == 0 else "y"
-        return CorrelationResult("x", "y", None, None, n, reason=f"zero rank variance in {which}")
+        return CorrelationResult(None, None, n, reason=f"zero rank variance in {which}")
     if len(np.unique(x)) == n and len(np.unique(y)) == n:
         # tie-free: the classical formula over integer rank differences is
         # exact, so perfectly (anti)monotone data yields rho of exactly +/-1
@@ -211,4 +203,4 @@ def spearman(
         if abs(perm_rho) >= abs(rho) - 1e-12:
             hits += 1
     p = (hits + 1) / (n_permutations + 1)
-    return CorrelationResult("x", "y", rho, p, n)
+    return CorrelationResult(rho, p, n)

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from apemkit import cli
 from apemkit.cli import main
 from apemkit.mapio import load_map
 from apemkit.stats import read_rows
@@ -151,6 +152,53 @@ def test_exit_code_3_on_data_errors(tmp_path):
     assert main([
         "train", "--dataset", "idx:/nope/images:/nope/labels", "--out", str(tmp_path),
     ]) == 3
+
+
+def test_exit_code_3_on_malformed_per_image_csv(tmp_path):
+    results = tmp_path / "results"
+    results.mkdir()
+    header = ("image_id,method,stage,eps_minus,eps_plus,gap,capped_minus,capped_plus,"
+              "predicted_class,true_class,confidence,loss")
+    for bad_row in ("img00000,gradient,x,10,30,20,False,False,1,1,0.9,0.1",
+                    "img00000,gradient,3,10,30,abc,False,False,1,1,0.9,0.1",
+                    "img00000,gradient,3,10,30"):
+        (results / "per_image.csv").write_text(f"{header}\n{bad_row}\n")
+        assert main(["report", "--out", str(tmp_path)]) == 3
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    initializer and the tasks in this process."""
+
+    started = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def test_evaluate_pool_is_capped_at_the_image_count(tiny_run, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli, "_WORKER_STATE", {})
+    monkeypatch.setattr(_InlinePool, "started", [])
+    model = os.path.join(tiny_run, "model.net")
+    outputs = []
+    for workers in ("64", "1"):
+        out = tmp_path / workers
+        assert main(["evaluate", *TINY, "--model", model, "--out", str(out), "--limit", "3",
+                     "--methods", "gradient", "--workers", workers]) == 0
+        outputs.append((out / "results" / "per_image.csv").read_bytes())
+    assert _InlinePool.started == [3]
+    assert outputs[0] == outputs[1]
 
 
 def test_env_seed_is_honored_by_cli(tmp_path, monkeypatch):

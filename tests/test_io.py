@@ -1,12 +1,15 @@
 """Serialization round-trips and corruption handling for models and maps."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from apemkit.errors import ChecksumError, FormatError
 from apemkit.explain import RelevanceMap
 from apemkit.mapio import export_map_csv, load_map, save_map
-from apemkit.modelio import load_model, save_model
+from apemkit.modelio import MAGIC, load_model, save_model
 from apemkit.netcore import forward
 
 from conftest import random_net
@@ -60,6 +63,44 @@ def test_non_model_file_is_rejected(tmp_path):
     path = tmp_path / "junk"
     path.write_bytes(b"not a model at all")
     with pytest.raises(FormatError):
+        load_model(path)
+
+
+def _rewrite_header(path, edit):
+    """Rewrite a model file's header with edit(header), with a valid checksum."""
+    raw = path.read_bytes()
+    pos = len(MAGIC) + 4
+    hlen = int.from_bytes(raw[pos:pos + 8], "little")
+    header = json.loads(raw[pos + 8:pos + 8 + hlen])
+    edit(header)
+    text = json.dumps(header).encode()
+    body = raw[:pos] + len(text).to_bytes(8, "little") + text + raw[pos + 8 + hlen:-32]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.pop("layers"),
+        lambda h: h.pop("input_shape"),
+        lambda h: h["layers"][0].pop("weight_shape"),
+        lambda h: h["layers"][0].pop("stride"),
+        lambda h: h["layers"][0].pop("padding"),
+        lambda h: h["layers"][2].pop("size"),
+        lambda h: h["layers"][-1].pop("weight_shape"),
+        lambda h: h.update(layers=[1, 2]),
+        lambda h: h.update(input_shape=[1, 8]),
+        lambda h: h["layers"][0].update(weight_shape=[-4, 1, 3, 3]),
+    ],
+    ids=["no-layers", "no-input-shape", "conv-no-weight-shape", "conv-no-stride",
+         "conv-no-padding", "pool-no-size", "dense-no-weight-shape", "layers-not-dicts",
+         "short-input-shape", "negative-weight-shape"],
+)
+def test_checksummed_model_with_malformed_header_is_a_format_error(tmp_path, edit):
+    path = tmp_path / "m.net"
+    save_model(random_net(9), path)
+    _rewrite_header(path, edit)
+    with pytest.raises(FormatError, match="malformed header"):
         load_model(path)
 
 

@@ -137,6 +137,18 @@ def test_summarize_excludes_capped_and_undefined_rows_from_statistics():
     assert s.undefined_count == 1
 
 
+def test_summarize_group_with_no_measured_row_has_no_statistics():
+    rows = [
+        make_row(image_id="a", gap="9990", capped_plus="True"),
+        make_row(image_id="b", gap="-9990", capped_minus="True"),
+        make_row(image_id="c", gap="", eps_minus="", eps_plus="",
+                 capped_minus="", capped_plus=""),
+    ]
+    (s,) = summarize(rows)
+    assert (s.n_images, s.n_defined, s.capped_count, s.undefined_count) == (3, 0, 2, 1)
+    assert (s.mean_gap, s.median_gap, s.q1, s.q3) == (None, None, None, None)
+
+
 def test_summarize_split_by_correctness():
     rows = [
         make_row(image_id="a", predicted_class="1", true_class="1", gap="10"),
@@ -162,6 +174,62 @@ def test_read_rows_validates_columns(tmp_path):
     good.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(make_row()[c] for c in CSV_COLUMNS) + "\n")
     rows = read_rows(good)
     assert rows[0]["gap"] == "7"
+
+
+def _write_rows(path, rows):
+    path.write_text("\n".join([",".join(CSV_COLUMNS), *rows]) + "\n")
+
+
+def test_read_rows_accepts_undefined_and_capped_rows(tmp_path):
+    undefined = make_row(gap="", eps_minus="", eps_plus="", capped_minus="", capped_plus="")
+    capped = make_row(gap="9990", capped_plus="True")
+    p = tmp_path / "rows.csv"
+    _write_rows(p, [",".join(r[c] for c in CSV_COLUMNS) for r in (undefined, capped)])
+    assert [r["gap"] for r in read_rows(p)] == ["", "9990"]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"stage": "x"},
+        {"stage": ""},
+        {"predicted_class": "1.5"},
+        {"true_class": "cat"},
+        {"eps_minus": "abc"},
+        {"eps_plus": "2.5"},
+        {"gap": "abc"},
+        {"capped_minus": "yes"},
+        {"capped_plus": "1"},
+        {"confidence": "high"},
+        {"loss": ""},
+    ],
+)
+def test_read_rows_rejects_a_malformed_field_and_names_its_line(tmp_path, field):
+    good = ",".join(make_row()[c] for c in CSV_COLUMNS)
+    bad = ",".join(make_row(**field)[c] for c in CSV_COLUMNS)
+    p = tmp_path / "rows.csv"
+    _write_rows(p, [good, bad])
+    with pytest.raises(DataError, match=f"line 3: bad {next(iter(field))} "):
+        read_rows(p)
+
+
+def test_read_rows_rejects_a_partly_empty_gap(tmp_path):
+    # report would take eps_plus of a row whose gap is set
+    p = tmp_path / "rows.csv"
+    _write_rows(p, [",".join(make_row(eps_plus="")[c] for c in CSV_COLUMNS)])
+    with pytest.raises(DataError, match="line 2: eps_minus, eps_plus and gap are partly empty"):
+        read_rows(p)
+
+
+@pytest.mark.parametrize("cut", [slice(0, -1), slice(0, 3), slice(None)])
+def test_read_rows_rejects_a_row_of_the_wrong_length(tmp_path, cut):
+    fields = [make_row()[c] for c in CSV_COLUMNS][cut]
+    if cut == slice(None):
+        fields.append("extra")
+    p = tmp_path / "rows.csv"
+    _write_rows(p, [",".join(fields)])
+    with pytest.raises(DataError, match="line 2: expected 12 fields"):
+        read_rows(p)
 
 
 # ---------------------------------------------------------------------------

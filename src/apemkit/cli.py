@@ -14,6 +14,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple
+from functools import partial
 from pathlib import Path
 
 import click
@@ -23,7 +24,7 @@ import numpy as np
 # cli.compute_gap is filtering.gap, so the name stays bound
 from .apem import gap as compute_gap, gaps, shuffle_map  # noqa: F401
 from . import stats as stats_mod
-from .config import RunConfig
+from .config import MAX_WORKERS, RunConfig
 from .data import load_idx_dataset, synthetic_dataset
 from .errors import (
     ApemkitError,
@@ -113,7 +114,7 @@ def require_model(cfg: RunConfig) -> Network:
 
 
 # ---------------------------------------------------------------------------
-# Per-image map pipeline; evaluation runs it in parallel over images
+# Per-image work; every per-image command runs its tasks through one pool
 # ---------------------------------------------------------------------------
 
 
@@ -152,6 +153,38 @@ def evaluate_one(net: Network, cfg: RunConfig, idx: int, image: np.ndarray, labe
     ]
 
 
+def explain_one(net: Network, cfg: RunConfig, idx: int, image: np.ndarray):
+    """(method, stage, params, rmap) of every map `explain` writes for one image."""
+    ref = forward(net, image).predicted_class
+    return [(method, stage, raw.params, rmap)
+            for method, stage, raw, rmap in image_maps(net, cfg, idx, image, ref, cfg.methods,
+                                                       (1, 2, 3))]
+
+
+def shuffle_one(net: Network, cfg: RunConfig, idx: int, image: np.ndarray, k_shuffles: int):
+    """Gap rows of k shuffled copies of one image's first-method map, per stage."""
+    ref = forward(net, image).predicted_class
+    keys, shuffled = [], []
+    for method, stage, _, rmap in image_maps(net, cfg, idx, image, ref, cfg.methods[:1],
+                                             (1, 2, 3)):
+        for s in range(k_shuffles):
+            keys.append((f"img{idx:05d}", method, stage, s))
+            shuffled.append(shuffle_map(rmap, seed=image_seed(cfg.seed, idx) + s + 1))
+    return [key + f for key, f in zip(keys, gap_fields(net, cfg, image, ref, shuffled))]
+
+
+def filter_one(net: Network, cfg: RunConfig, idx: int, image: np.ndarray, method: str):
+    """The FilterTrace of one image's `method` map at cfg.stage; None where
+    the map is all zero and cannot be filtered."""
+    ref = forward(net, image).predicted_class
+    *_, rmap = next(image_maps(net, cfg, idx, image, ref, (method,), (cfg.stage,)))
+    try:
+        return filter_map(net, image, ref, rmap, cfg.step, cfg.cap, cfg.batch_fraction,
+                          cfg.clip)
+    except ZeroMapError:
+        return None
+
+
 _WORKER_STATE: dict = {}
 
 
@@ -159,24 +192,25 @@ def _init_worker(net: Network, cfg: RunConfig):
     _WORKER_STATE["net"], _WORKER_STATE["cfg"] = net, cfg
 
 
-def _evaluate_task(args):
-    idx, image, label = args
-    return evaluate_one(_WORKER_STATE["net"], _WORKER_STATE["cfg"], idx, image, label)
+def _pool_task(fn, task):
+    return fn(_WORKER_STATE["net"], _WORKER_STATE["cfg"], *task)
+
+
+def run_pool(cfg: RunConfig, net: Network, fn, tasks: list) -> list:
+    """fn(net, cfg, *task) for each task, in task order. The tasks run in
+    min(cfg.workers or the processor count, len(tasks)) processes, or in
+    this process when that is 1; a task's exception is raised here."""
+    workers = min(cfg.workers or os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        return [fn(net, cfg, *task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(net, cfg)) as pool:
+        return list(pool.map(partial(_pool_task, fn), tasks, chunksize=1))
 
 
 def run_evaluate(cfg: RunConfig, net: Network, ds: Dataset) -> list[list]:
     tasks = [(i, ds.images[i], int(ds.labels[i])) for i in range(len(ds))]
-    workers = min(cfg.workers or os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(net, cfg),
-        ) as pool:
-            chunks = list(pool.map(_evaluate_task, tasks, chunksize=1))
-    else:
-        chunks = [evaluate_one(net, cfg, *t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for chunk in run_pool(cfg, net, evaluate_one, tasks) for row in chunk]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return rows
 
@@ -203,7 +237,9 @@ def config_options(fn):
         click.option("--lrp-epsilon", type=float, default=None),
         click.option("--batch-fraction", type=float, default=None),
         click.option("--seed", type=int, default=None),
-        click.option("--workers", type=int, default=None),
+        click.option("--workers", type=int, default=None,
+                     help="Processes for explain, evaluate, shuffle-test and filter "
+                          f"(0 = number of processors, at most {MAX_WORKERS})."),
         click.option("--out", type=click.Path(), default=None),
         click.option("--limit", type=int, default=None),
         click.option("--n-images", type=int, default=None),
@@ -282,14 +318,12 @@ def cmd_train(config_path, **kw):
 def cmd_explain(config_path, **kw):
     """Write one map file per (image, method, stage)."""
     cfg, out, net, ds = setup(config_path, kw)
+    tasks = list(enumerate(ds.images))
     count = 0
-    for idx, image in enumerate(ds.images):
-        ref = forward(net, image).predicted_class
-        for method, stage, raw, rmap in image_maps(net, cfg, idx, image, ref, cfg.methods,
-                                                   (1, 2, 3)):
+    for (idx, _), maps in zip(tasks, run_pool(cfg, net, explain_one, tasks)):
+        for method, stage, params, rmap in maps:
             path = out / "maps" / f"img{idx:05d}_{method}_s{stage}.map"
-            save_map(rmap, path, image_id=f"img{idx:05d}", method=method,
-                     params=dict(raw.params))
+            save_map(rmap, path, image_id=f"img{idx:05d}", method=method, params=params)
             count += 1
     click.echo(f"wrote {count} map files -> {out / 'maps'}")
 
@@ -319,16 +353,8 @@ def cmd_shuffle_test(config_path, k_shuffles, **kw):
     """Gap rows for k shuffled copies of each map, per simplification stage."""
     cfg, out, net, ds = setup(config_path, kw)
     header = ["image_id", "method", "stage", "shuffle_index", *stats_mod.GAP_COLUMNS]
-    rows = []
-    for idx, image in enumerate(ds.images):
-        ref = forward(net, image).predicted_class
-        keys, shuffled = [], []
-        for method, stage, _, rmap in image_maps(net, cfg, idx, image, ref, cfg.methods[:1],
-                                                 (1, 2, 3)):
-            for s in range(k_shuffles):
-                keys.append((f"img{idx:05d}", method, stage, s))
-                shuffled.append(shuffle_map(rmap, seed=image_seed(cfg.seed, idx) + s + 1))
-        rows += [key + f for key, f in zip(keys, gap_fields(net, cfg, image, ref, shuffled))]
+    tasks = [(idx, image, k_shuffles) for idx, image in enumerate(ds.images)]
+    rows = [row for chunk in run_pool(cfg, net, shuffle_one, tasks) for row in chunk]
     write_csv(out / "results" / "shuffle.csv", header, rows)
     click.echo(f"wrote {len(rows)} shuffled-map rows -> {out / 'results' / 'shuffle.csv'}")
 
@@ -340,23 +366,21 @@ def cmd_filter(config_path, **kw):
     cfg, out, net, ds = setup(config_path, kw)
     (out / "maps" / "filtered").mkdir(parents=True, exist_ok=True)
     header = ["image_id", "method", "stage", "iteration", "threshold", "zeroed_count", "gap"]
+    # one task per map: a map's cleaning chain is a run of dependent gaps,
+    # and the chains of one image share nothing
+    tasks = [(idx, image, method) for idx, image in enumerate(ds.images)
+             for method in cfg.methods]
     rows = []
-    for idx, image in enumerate(ds.images):
-        image_id = f"img{idx:05d}"
-        ref = forward(net, image).predicted_class
-        for method, stage, _, rmap in image_maps(net, cfg, idx, image, ref, cfg.methods,
-                                                 (cfg.stage,)):
-            try:
-                trace = filter_map(net, image, ref, rmap, cfg.step, cfg.cap,
-                                   cfg.batch_fraction, cfg.clip)
-            except ZeroMapError:
-                continue
-            path = out / "maps" / "filtered" / f"{image_id}_{method}_s{stage}.map"
-            save_map(trace.final_map, path, image_id=image_id, method=method,
-                     params={"filtered": True, "batch_fraction": cfg.batch_fraction})
-            rows.append([image_id, method, stage, 0, "", 0, trace.original_gap])
-            for it_idx, it in enumerate(trace.iterations, start=1):
-                rows.append([image_id, method, stage, it_idx, it.threshold, it.zeroed, it.gap])
+    for (idx, _, method), trace in zip(tasks, run_pool(cfg, net, filter_one, tasks)):
+        if trace is None:
+            continue
+        image_id, stage = f"img{idx:05d}", cfg.stage
+        path = out / "maps" / "filtered" / f"{image_id}_{method}_s{stage}.map"
+        save_map(trace.final_map, path, image_id=image_id, method=method,
+                 params={"filtered": True, "batch_fraction": cfg.batch_fraction})
+        rows.append([image_id, method, stage, 0, "", 0, trace.original_gap])
+        for it_idx, it in enumerate(trace.iterations, start=1):
+            rows.append([image_id, method, stage, it_idx, it.threshold, it.zeroed, it.gap])
     write_csv(out / "results" / "filter_trace.csv", header, rows)
     click.echo(f"filtered maps -> {out / 'maps' / 'filtered'}")
 

@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 
 ENV_SEED = "APEMKIT_SEED"
+# upper bound on `workers`: a per-image command starts one process per task,
+# up to this many
+MAX_WORKERS = 64
 
 # JSON value types accepted per annotated field type; a float field takes an int
 _FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
@@ -70,7 +73,7 @@ class RunConfig:
     batch_fraction: float = 0.05
     # run
     seed: int = 0
-    workers: int = 0  # 0 = number of processors
+    workers: int = 0  # 0 = number of processors; at most MAX_WORKERS
     out: str = "run"
 
     def __post_init__(self):
@@ -107,8 +110,8 @@ class RunConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.workers < 0:
-            raise ConfigError(f"workers must be >= 0, got {self.workers}")
+        if not 0 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must be in [0, {MAX_WORKERS}], got {self.workers}")
         if self.stage not in (1, 2, 3):
             raise ConfigError(f"stage must be 1, 2 or 3, got {self.stage}")
         if self.step <= 0:

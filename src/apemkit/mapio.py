@@ -34,6 +34,10 @@ def save_map(rmap: RelevanceMap, path, image_id: str, method: str, params: dict 
         f.write(np.ascontiguousarray(rmap.values, dtype="<f8").tobytes())
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_map(path) -> tuple[RelevanceMap, dict]:
     with open(path, "rb") as f:
         raw = f.read()
@@ -47,12 +51,19 @@ def load_map(path) -> tuple[RelevanceMap, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: malformed map header: {e}") from e
     pos += hlen
-    shape = tuple(header["shape"])
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: map header is not a JSON object")
+    shape, stage = header.get("shape"), header.get("stage")
+    if not (isinstance(shape, list) and all(_is_int(n) and n >= 0 for n in shape)):
+        raise FormatError(f"{path}: map header 'shape' is not a list of sizes: {shape!r}")
+    if not _is_int(stage):
+        raise FormatError(f"{path}: map header 'stage' is not an integer: {stage!r}")
+    shape = tuple(shape)
     n = int(np.prod(shape)) * 8
     if len(raw) - pos != n:
         raise FormatError(f"{path}: grid size {len(raw) - pos} != header shape {shape}")
     values = np.frombuffer(raw[pos:], dtype="<f8").reshape(shape).copy()
-    return RelevanceMap(values=values, stage=int(header["stage"])), header
+    return RelevanceMap(values=values, stage=stage), header
 
 
 def export_map_csv(rmap: RelevanceMap, path):

@@ -4,11 +4,14 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from apemkit import cli
 from apemkit.cli import main
 from apemkit.mapio import load_map
+from apemkit.modelio import save_model
+from apemkit.netcore import Dense, Flatten, Network
 from apemkit.stats import read_rows
 
 TINY = [
@@ -186,7 +189,25 @@ class _InlinePool:
         return map(fn, tasks)
 
 
-def test_evaluate_pool_is_capped_at_the_image_count(tiny_run, tmp_path, monkeypatch):
+def _output_bytes(out):
+    """Every map and result file of a run, by its path inside the run."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.parent != out}
+
+
+@pytest.mark.parametrize(
+    "command, extra, started",
+    [
+        (["evaluate"], ["--limit", "3", "--methods", "gradient"], 3),
+        (["explain"], ["--limit", "3", "--methods", "gradient"], 3),
+        (["filter"], ["--limit", "2", "--methods", "gradient,lrp"], 4),
+        (["shuffle-test", "--k-shuffles", "2"], ["--limit", "2", "--methods", "gradient"], 2),
+    ],
+    ids=["evaluate-one-task-per-image", "explain-one-task-per-image", "filter-one-task-per-map",
+         "shuffle-one-task-per-image"],
+)
+def test_pooled_commands_start_one_worker_per_task(tiny_run, tmp_path, monkeypatch,
+                                                   command, extra, started):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cli, "_WORKER_STATE", {})
     monkeypatch.setattr(_InlinePool, "started", [])
@@ -194,11 +215,34 @@ def test_evaluate_pool_is_capped_at_the_image_count(tiny_run, tmp_path, monkeypa
     outputs = []
     for workers in ("64", "1"):
         out = tmp_path / workers
-        assert main(["evaluate", *TINY, "--model", model, "--out", str(out), "--limit", "3",
-                     "--methods", "gradient", "--workers", workers]) == 0
-        outputs.append((out / "results" / "per_image.csv").read_bytes())
-    assert _InlinePool.started == [3]
-    assert outputs[0] == outputs[1]
+        assert main([*command, *TINY, "--model", model, "--out", str(out), *extra,
+                     "--workers", workers]) == 0
+        outputs.append(_output_bytes(out))
+    assert _InlinePool.started == [started]
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_workers_above_the_bound_exit_2_before_a_pool_starts(tiny_run, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "started", [])
+    model = os.path.join(tiny_run, "model.net")
+    for command in ("explain", "evaluate", "shuffle-test", "filter"):
+        assert main([command, *TINY, "--model", model, "--out", str(tmp_path), "--limit", "3",
+                     "--methods", "gradient", "--workers", "65"]) == 2
+    assert _InlinePool.started == []
+
+
+@pytest.mark.parametrize("command", ["explain", "evaluate", "shuffle-test", "filter"])
+def test_error_in_a_pool_worker_keeps_its_exit_code(tmp_path, command):
+    # gradcam needs a conv layer, so every task of this model raises
+    # MethodInapplicableError (exit 3) inside a real two-process pool
+    rng = np.random.default_rng(0)
+    net = Network([Flatten(), Dense(rng.normal(0, 0.1, (10, 28 * 28)), np.zeros(10))],
+                  (1, 28, 28))
+    model = tmp_path / "dense.net"
+    save_model(net, model)
+    assert main([command, *TINY, "--model", str(model), "--out", str(tmp_path / "run"),
+                 "--limit", "2", "--methods", "gradcam", "--workers", "2"]) == 3
 
 
 def test_env_seed_is_honored_by_cli(tmp_path, monkeypatch):

@@ -49,6 +49,7 @@ def test_missing_config_file_is_a_config_error(tmp_path):
         {"methods": ["gradient", "occlusion"]},
         {"limit": -1},
         {"workers": -1},
+        {"workers": 65},
         {"epochs": -1},
         {"lr": 0.0},
         {"lr": -0.05},

@@ -3,6 +3,8 @@
 The run trains the tiny model of `test_cli`, then runs `evaluate` with one
 and with two workers, `report`, `explain`, `shuffle-test` and `filter`, and
 checks the sha256 of every file the run writes against recorded constants.
+`explain`, `shuffle-test` and `filter` run again with two workers into a
+second directory, whose files must match the one-worker run's.
 `config.json` and `model_manifest.json` hold the run path and are skipped.
 
 The digests are tied to the NumPy/OpenBLAS build they were recorded on: a
@@ -224,14 +226,28 @@ def golden_run(tmp_path_factory):
     assert main(["explain", *args]) == 0
     assert main(["shuffle-test", *args, "--limit", "2", "--k-shuffles", "3"]) == 0
     assert main(["filter", *args, "--limit", "2", "--methods", "gradient,lrp,gradcam"]) == 0
-    return one_worker, _digests(out)
+    # the pooled commands again at two workers, into a run of their own
+    pooled = str(tmp_path_factory.mktemp("golden2"))
+    args2 = [*TINY, "--out", pooled, "--model", os.path.join(out, "model.net"),
+             "--limit", "4", "--smooth-n", "4", "--workers", "2"]
+    assert main(["explain", *args2]) == 0
+    assert main(["shuffle-test", *args2, "--limit", "2", "--k-shuffles", "3"]) == 0
+    assert main(["filter", *args2, "--limit", "2", "--methods", "gradient,lrp,gradcam"]) == 0
+    return one_worker, _digests(out), _digests(pooled)
 
 
 def test_evaluate_is_identical_at_one_and_two_workers(golden_run):
-    one_worker, final = golden_run
+    one_worker, final, _ = golden_run
     assert one_worker == {k: final[k] for k in one_worker}
 
 
+def test_pooled_commands_are_identical_at_one_and_two_workers(golden_run):
+    _, final, two_workers = golden_run
+    expected = {k: v for k, v in final.items()
+                if k.startswith("maps") or k in ("results/shuffle.csv", "results/filter_trace.csv")}
+    assert two_workers == expected
+
+
 def test_every_output_file_matches_its_recorded_digest(golden_run):
-    _, final = golden_run
+    _, final, _ = golden_run
     assert final == GOLDEN

@@ -8,7 +8,7 @@ import pytest
 
 from apemkit.errors import ChecksumError, FormatError
 from apemkit.explain import RelevanceMap
-from apemkit.mapio import export_map_csv, load_map, save_map
+from apemkit.mapio import MAGIC as MAP_MAGIC, export_map_csv, load_map, save_map
 from apemkit.modelio import MAGIC, load_model, save_model
 from apemkit.netcore import forward
 
@@ -122,6 +122,30 @@ def test_map_wrong_grid_size_is_rejected(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(FormatError):
+        load_map(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        [3, [4, 4]],
+        {"stage": 3},
+        {"shape": [4, 4]},
+        {"shape": None, "stage": 3},
+        {"shape": "44", "stage": 3},
+        {"shape": [4, "4"], "stage": 3},
+        {"shape": [-4, -4], "stage": 3},
+        {"shape": [4, 4], "stage": None},
+        {"shape": [4, 4], "stage": "three"},
+    ],
+    ids=["not-an-object", "no-shape", "no-stage", "null-shape", "string-shape",
+         "string-size", "negative-sizes", "null-stage", "string-stage"],
+)
+def test_map_with_malformed_header_is_a_format_error(tmp_path, header):
+    text = json.dumps(header).encode()
+    path = tmp_path / "m.map"
+    path.write_bytes(MAP_MAGIC + len(text).to_bytes(8, "little") + text + bytes(16 * 8))
+    with pytest.raises(FormatError, match="map header"):
         load_map(path)
 
 

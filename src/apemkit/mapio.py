@@ -2,12 +2,10 @@
 
 Binary format: magic, header length (uint64 LE), JSON header (image id,
 method, params, stage, shape), then the little-endian float64 grid.
-CSV export is provided for inspection.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
@@ -65,10 +63,3 @@ def load_map(path) -> tuple[RelevanceMap, dict]:
     values = np.frombuffer(raw[pos:], dtype="<f8").reshape(shape).copy()
     return RelevanceMap(values=values, stage=stage), header
 
-
-def export_map_csv(rmap: RelevanceMap, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["row", "col", "value"])
-        for (i, j), v in np.ndenumerate(rmap.values):
-            writer.writerow([i, j, repr(float(v))])

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apemkit.apem import (
+    GapResult,
     apem,
     direct,
     find_epsilon,
@@ -303,6 +304,31 @@ def test_gap_accepts_relevance_map_objects(desk_model, desk_test_set):
     a = gap(desk_model, image, ref, RelevanceMap(values=values, stage=3), cap=4000)
     b = gap(desk_model, image, ref, values, cap=4000)
     assert (a.eps_minus, a.eps_plus) == (b.eps_minus, b.eps_plus)
+
+
+@st.composite
+def _dyadic_cases(draw):
+    # dyadic values k/8 keep 1 - (1 - m) == m exactly in float64, so the
+    # relevance and irrelevance rays of m are exactly those of 1 - m swapped
+    values = draw(st.lists(st.integers(0, 8), min_size=64, max_size=64)
+                  .filter(lambda ks: 0 < sum(ks) < 8 * 64))
+    return draw(st.integers(0, 2**16)), np.array(values, dtype=np.float64).reshape(8, 8) / 8
+
+
+def _swapped(g):
+    return GapResult(g.eps_plus, g.eps_minus, -g.gap, g.capped_plus, g.capped_minus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dyadic_cases())
+def test_gap_of_the_complement_map_swaps_the_rays(case):
+    seed, m = case
+    net = random_net(seed)
+    image = np.random.default_rng(seed).uniform(0, 1, (1, 8, 8))
+    ref = forward(net, image).predicted_class
+    g = gap(net, image, ref, m, cap=500)
+    assert gap(net, image, ref, 1 - m, cap=500) == _swapped(g)
+    assert gaps(net, image, ref, [m, 1 - m], cap=500) == [g, _swapped(g)]
 
 
 def _gap_or_none(net, image, ref, values, step, cap, clip):

@@ -6,6 +6,7 @@ import pytest
 from apemkit.errors import InputShapeError, MethodInapplicableError
 from apemkit.explain import (
     METHOD_NAMES,
+    _SMOOTH_ROWS,
     RawAttribution,
     bilinear_resize,
     channel_sum,
@@ -39,21 +40,34 @@ def test_smoothgrad_sigma_zero_equals_gradient(n):
     assert np.max(np.abs(sg - g)) <= 1e-12
 
 
-def test_smoothgrad_equals_explicit_average_of_noisy_gradients():
+def _noisy_gradient_loop(net, image, target, n, sigma, seed):
     # oracle: draw the same noise sequence from the same generator and
     # average individually computed gradient magnitudes in a plain loop
-    net = random_net(2)
-    rng = np.random.default_rng(5)
-    image = rng.uniform(0, 1, (1, 8, 8))
-    n, sigma, seed = 7, 0.15, 42
-    got = smoothgrad_map(net, image, target=1, n=n, sigma=sigma, seed=seed).values
-
     noise_rng = np.random.default_rng(seed)
     acc = np.zeros_like(image)
     for _ in range(n):
         noisy = image + noise_rng.normal(0.0, sigma, size=image.shape)
-        acc = acc + np.abs(input_gradient(net, noisy, 1))
-    np.testing.assert_allclose(got, acc / n, rtol=1e-12, atol=0)
+        acc += np.abs(input_gradient(net, noisy, target))
+    return acc / n
+
+
+# n around the chunk size: one partial chunk, one full, full plus partial
+@pytest.mark.parametrize("n", [1, _SMOOTH_ROWS - 1, _SMOOTH_ROWS, _SMOOTH_ROWS + 1,
+                               2 * _SMOOTH_ROWS + 1])
+def test_smoothgrad_equals_explicit_average_of_noisy_gradients(n):
+    net = random_net(2)
+    image = np.random.default_rng(5).uniform(0, 1, (1, 8, 8))
+    got = smoothgrad_map(net, image, target=1, n=n, sigma=0.15, seed=42).values
+    assert np.array_equal(got, _noisy_gradient_loop(net, image, 1, n, 0.15, 42))
+
+
+@pytest.mark.parametrize("idx", [0, 1])
+def test_smoothgrad_on_the_desk_model_equals_the_noisy_gradient_loop(desk_model, desk_test_set,
+                                                                     idx):
+    image = desk_test_set.images[idx]
+    target = forward(desk_model, image).predicted_class
+    got = smoothgrad_map(desk_model, image, n=100, sigma=0.2, seed=idx).values
+    assert np.array_equal(got, _noisy_gradient_loop(desk_model, image, target, 100, 0.2, idx))
 
 
 def test_smoothgrad_is_seed_deterministic():
@@ -156,6 +170,15 @@ def test_compute_map_rejects_unknown_method():
     net = random_net(0)
     with pytest.raises(MethodInapplicableError):
         compute_map(net, np.zeros((1, 8, 8)), "occlusion")
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+@pytest.mark.parametrize("target", [-1, 5])
+def test_every_method_rejects_a_target_outside_the_classes(method, target):
+    net = random_net(0)
+    assert net.num_classes == 5
+    with pytest.raises(InputShapeError, match="out of range"):
+        compute_map(net, np.zeros((1, 8, 8)), method, target=target)
 
 
 def test_all_methods_produce_image_shaped_maps(desk_model, desk_test_set):

@@ -8,7 +8,7 @@ import pytest
 
 from apemkit.errors import ChecksumError, FormatError
 from apemkit.explain import RelevanceMap
-from apemkit.mapio import MAGIC as MAP_MAGIC, export_map_csv, load_map, save_map
+from apemkit.mapio import MAGIC as MAP_MAGIC, load_map, save_map
 from apemkit.modelio import MAGIC, load_model, save_model
 from apemkit.netcore import forward
 
@@ -147,14 +147,3 @@ def test_map_with_malformed_header_is_a_format_error(tmp_path, header):
     path.write_bytes(MAP_MAGIC + len(text).to_bytes(8, "little") + text + bytes(16 * 8))
     with pytest.raises(FormatError, match="map header"):
         load_map(path)
-
-
-def test_map_csv_export_lists_every_pixel(tmp_path):
-    values = np.arange(6, dtype=np.float64).reshape(2, 3) / 10
-    path = tmp_path / "m.csv"
-    export_map_csv(RelevanceMap(values=values, stage=2), path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "row,col,value"
-    assert len(lines) == 7
-    assert lines[1] == "0,0,0.0"
-    assert lines[-1] == "1,2,0.5"

@@ -9,6 +9,7 @@ so any number in a report can be re-derived. Exit codes: 0 success,
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import os
 import sys
@@ -465,7 +466,30 @@ def cmd_report(config_path, **kw):
     click.echo(f"reports -> {out / 'reports'}")
 
 
+# glibc mallopt parameters (malloc.h) and the values main sets. By default
+# glibc serves the engine's 0.1-7 MB temporaries by mmap, or trims them off
+# the heap, and hands them back to the kernel after every call, so the next
+# call page-faults them in again. Both must be set: setting either alone
+# switches off glibc's dynamic threshold and faults more than the default.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20  # the largest glibc accepts on 64-bit hosts
+_TRIM_THRESHOLD = 128 << 20
+
+
+def keep_freed_heap():
+    """Keep freed memory in this process for reuse instead of returning it
+    to the kernel. Pool workers fork from this process and inherit the
+    setting. Does nothing where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None):
+    keep_freed_heap()
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0

@@ -195,15 +195,24 @@ def _check_input(net: Network, image: np.ndarray) -> np.ndarray:
 
 
 def _im2col(layer: Conv2D, x: np.ndarray):
-    """(B, c, h, w) -> columns (B, c*kh*kw, oh*ow), one per output pixel."""
-    b, c = x.shape[:2]
+    """(B, c, h, w) -> columns (B, c*kh*kw, oh*ow), one per output pixel.
+
+    Built by one strided slice copy per kernel offset, the loop _col2im runs
+    in reverse; at small B this costs less than one 6-D sliding-window copy.
+    """
+    b, c, h, w = x.shape
     kh, kw = layer.weight.shape[2:]
     p, s = layer.padding, layer.stride
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    oh, ow = win.shape[2:4]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
-    return np.ascontiguousarray(cols), (oh, ow)
+    xp = x
+    if p:
+        xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+        xp[:, :, p : p + h, p : p + w] = x
+    _, oh, ow = layer.output_shape(x.shape[1:])
+    cols = np.empty((b, c, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
+    return cols.reshape(b, c * kh * kw, oh * ow), (oh, ow)
 
 
 def _col2im(layer: Conv2D, dcols: np.ndarray, x_shape) -> np.ndarray:
@@ -435,6 +444,11 @@ def train(net: Network, dataset: Dataset, epochs: int, lr: float, seed: int) -> 
     """Plain per-sample SGD on cross-entropy. Deterministic given seed."""
     if len(dataset) == 0:
         raise InputShapeError("cannot train on an empty dataset")
+    bad = np.flatnonzero((dataset.labels < 0) | (dataset.labels >= net.num_classes))
+    if bad.size:
+        i = int(bad[0])
+        raise InputShapeError(f"label {int(dataset.labels[i])} of sample {i} out of range "
+                              f"for {net.num_classes} classes")
     out = net.copy()
     rng = np.random.default_rng(seed)
     for epoch in range(epochs):

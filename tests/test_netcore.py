@@ -5,11 +5,18 @@ separately from the vectorized engine; gradients are checked with central
 finite differences.
 """
 
+import itertools
+import os
+import platform
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import apemkit
 from apemkit.errors import InputShapeError, NumericError
 from apemkit.netcore import (
     Conv2D,
@@ -19,6 +26,8 @@ from apemkit.netcore import (
     MaxPool2D,
     Network,
     ReLU,
+    _col2im,
+    _im2col,
     accuracy,
     feature_map_gradient,
     forward,
@@ -112,6 +121,79 @@ def test_forward_matches_naive_on_strided_padded_conv():
     )
     image = rng.uniform(0, 1, (2, 9, 9))
     np.testing.assert_allclose(forward(net, image).logits, naive_forward(net, image), rtol=1e-12)
+
+
+def _im2col_reference(layer, x):
+    """Reference columns: one 6-D sliding-window copy of the padded input."""
+    b, c = x.shape[:2]
+    kh, kw = layer.weight.shape[2:]
+    p, s = layer.padding, layer.stride
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    oh, ow = win.shape[2:4]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow), (oh, ow)
+
+
+def _conv_cases(stride, padding):
+    """(layer, x) over batch 1-5, channels 1-3 and kernels 1-3 by 1-3 on a 7x6 input."""
+    rng = np.random.default_rng(10 * stride + padding)
+    for b, c, kh, kw in itertools.product(range(1, 6), range(1, 4), range(1, 4), range(1, 4)):
+        layer = Conv2D(rng.normal(size=(2, c, kh, kw)), np.zeros(2), stride=stride,
+                       padding=padding)
+        yield layer, rng.normal(size=(b, c, 7, 6))
+
+
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_im2col_equals_the_sliding_window_construction(stride, padding):
+    for layer, x in _conv_cases(stride, padding):
+        cols, shape = _im2col(layer, x)
+        want, want_shape = _im2col_reference(layer, x)
+        assert shape == want_shape
+        assert cols.flags.c_contiguous
+        assert np.array_equal(cols, want), (x.shape, layer.weight.shape)
+
+
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_col2im_is_the_adjoint_of_im2col(stride, padding):
+    # <im2col(x), d> = <x, col2im(d)> for every x and d
+    rng = np.random.default_rng(100 + 10 * stride + padding)
+    for layer, x in _conv_cases(stride, padding):
+        cols, _ = _im2col(layer, x)
+        d = rng.normal(size=cols.shape)
+        np.testing.assert_allclose(np.vdot(cols, d), np.vdot(x, _col2im(layer, d, x.shape)),
+                                   rtol=1e-12)
+
+
+def test_engine_calls_take_no_page_faults_once_the_cli_keeps_freed_heap():
+    # glibc hands large freed blocks back to the kernel by default, so each
+    # B=16 call faults about 850 pages in again; with the CLI's setting the
+    # process reuses them. A fresh process, so no earlier test's heap counts.
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the allocator setting is glibc's mallopt")
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from apemkit.cli import keep_freed_heap
+        from apemkit.netcore import build_desk_model, forward_logits_batch
+
+        keep_freed_heap()
+        net = build_desk_model()
+        x = np.random.default_rng(0).uniform(0, 1, (16, 1, 28, 28))
+        for _ in range(5):
+            forward_logits_batch(net, x)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            forward_logits_batch(net, x)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    src = str(Path(apemkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    faults = int(run.stdout.split()[-1])
+    assert faults / 20 < 1, f"{faults} minor page faults in 20 calls"
 
 
 def _assert_rows_equal_forward(net, images):
@@ -388,6 +470,21 @@ def test_train_zero_epochs_returns_equal_weights_without_mutation():
     # the input network itself is never mutated either
     for b, l in zip(before, [l for l in net.layers if hasattr(l, "weight")]):
         np.testing.assert_array_equal(b, l.weight)
+
+
+def test_train_rejects_a_label_outside_the_classes_before_any_step(monkeypatch):
+    from apemkit import netcore
+
+    def refuse(*args):
+        raise AssertionError("an SGD step ran")
+
+    monkeypatch.setattr(netcore, "_sgd_step", refuse)
+    net = random_net(2, n_classes=2)
+    for bad, message in (([0, 1, 1, 12, 0, 7], "label 12 of sample 3"),
+                         ([0, -1, 1, 0, 1, 0], "label -1 of sample 1")):
+        ds = Dataset(images=_blob_toy_dataset(6).images, labels=np.array(bad))
+        with pytest.raises(InputShapeError, match=message):
+            train(net, ds, epochs=1, lr=0.1, seed=0)
 
 
 def test_train_raises_on_non_finite_loss():

@@ -96,36 +96,33 @@ class RunConfig:
             raise ConfigError(f"dataset_kind must be 'synthetic' or 'idx', got {self.dataset_kind!r}")
         if self.dataset_kind == "idx" and not (self.dataset_images and self.dataset_labels):
             raise ConfigError("idx datasets need dataset_images and dataset_labels paths")
-        if self.n_images < 1:
-            raise ConfigError(f"n_images must be >= 1, got {self.n_images}")
-        if self.n_classes < 2:
-            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.image_size < 8:
-            raise ConfigError(f"image_size must be >= 8, got {self.image_size}")
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.limit < 0:
-            raise ConfigError(f"limit must be >= 0, got {self.limit}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if not 0 <= self.workers <= MAX_WORKERS:
-            raise ConfigError(f"workers must be in [0, {MAX_WORKERS}], got {self.workers}")
+        # (field, low, high or None, low exclusive); high is inclusive
+        for name, low, high, low_open in (
+            ("n_images", 1, None, False),
+            ("n_classes", 2, None, False),
+            ("image_size", 8, None, False),
+            ("noise_std", 0, None, False),
+            ("limit", 0, None, False),
+            ("epochs", 0, None, False),
+            ("lr", 0, None, True),
+            ("workers", 0, MAX_WORKERS, False),
+            ("step", 0, None, True),
+            ("cap", 1, None, False),
+            ("batch_fraction", 0, 1, True),
+            ("smooth_n", 1, None, False),
+            ("sigma", 0, None, False),
+            ("lrp_epsilon", 0, None, False),
+        ):
+            value = getattr(self, name)
+            above = value > low if low_open else value >= low
+            if not (above and (high is None or value <= high)):
+                if high is None:
+                    bound = f"{'>' if low_open else '>='} {low}"
+                else:
+                    bound = f"in {'(' if low_open else '['}{low}, {high}]"
+                raise ConfigError(f"{name} must be {bound}, got {value}")
         if self.stage not in (1, 2, 3):
             raise ConfigError(f"stage must be 1, 2 or 3, got {self.stage}")
-        if self.step <= 0:
-            raise ConfigError(f"step must be > 0, got {self.step}")
-        if self.cap < 1:
-            raise ConfigError(f"cap must be >= 1, got {self.cap}")
-        if not 0 < self.batch_fraction <= 1:
-            raise ConfigError(f"batch_fraction must be in (0, 1], got {self.batch_fraction}")
-        if self.smooth_n < 1:
-            raise ConfigError(f"smooth_n must be >= 1, got {self.smooth_n}")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
-        if self.lrp_epsilon < 0:
-            raise ConfigError(f"lrp_epsilon must be >= 0, got {self.lrp_epsilon}")
         from .explain import METHOD_NAMES
 
         unknown = [m for m in self.methods if m not in METHOD_NAMES]
@@ -141,6 +138,8 @@ class RunConfig:
             data = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"malformed config JSON: {e}") from e
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

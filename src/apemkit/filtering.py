@@ -2,9 +2,10 @@
 
 Iteratively zeroes the smallest non-zero map values in batches; each batch
 is kept only if the per-image gap does not drop below the gap of the map
-kept so far. The first batch that makes the gap drop is reverted and the
-loop stops. Kept values are never rescaled; l1 normalization inside the gap
-computation redistributes the mass automatically.
+kept so far. The first batch that makes the gap drop, or leaves the map all
+zero, is reverted and the loop stops. Kept values are never rescaled; l1
+normalization inside the gap computation redistributes the mass
+automatically.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apem import gap
+from .apem import gap, gaps
 from .errors import InputShapeError, ZeroMapError
 from .explain import RelevanceMap
 from .netcore import Network
@@ -55,12 +56,11 @@ def filter_map(
 
     current_gap = original
     iterations: list[FilterIteration] = []
-    reverted = False
 
+    # values is the original map or an accepted candidate; its gap was
+    # defined, so it always has a nonzero value
     while True:
         nonzero = values[values != 0]
-        if nonzero.size == 0:
-            break
         batch = max(1, int(batch_fraction * nonzero.size))
         # threshold at the batch-th smallest nonzero value; ties included,
         # so the zeroed count can exceed the nominal batch size
@@ -69,22 +69,17 @@ def filter_map(
         zeroed = int(mask.sum())
         candidate = values.copy()
         candidate[mask] = 0.0
-        try:
-            new_gap = gap(net, image, reference_class, candidate, step, cap, clip).gap
-        except ZeroMapError:
-            reverted = True  # zeroing left nothing to normalize
+        result = gaps(net, image, reference_class, [candidate], step, cap, clip)[0]
+        if result is None or result.gap < current_gap:
             break
-        if new_gap < current_gap:
-            reverted = True
-            break
-        iterations.append(FilterIteration(threshold=threshold, zeroed=zeroed, gap=new_gap))
+        iterations.append(FilterIteration(threshold=threshold, zeroed=zeroed, gap=result.gap))
         values = candidate
-        current_gap = new_gap
+        current_gap = result.gap
 
     return FilterTrace(
         iterations=iterations,
         final_map=RelevanceMap(values=values, stage=rmap.stage),
         original_gap=original,
         final_gap=current_gap,
-        reverted=reverted,
+        reverted=True,
     )

@@ -114,6 +114,8 @@ def test_exit_code_2_on_config_errors(tmp_path):
     assert main(["evaluate", "--config", str(bad), "--out", str(tmp_path)]) == 2
     bad.write_text('{"cap": "10"}')
     assert main(["evaluate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    bad.write_text('["seed"]')
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,10 @@ def test_invalid_values_are_rejected(kw):
         '{"methods": "gradient"}',
         '{"methods": ["gradient", 1]}',
         '{"seed": null}',
+        "5",  # a config file holds one JSON object
+        "null",
+        '["seed"]',
+        "[{}]",
     ],
 )
 def test_json_values_of_the_wrong_type_are_rejected(text):

@@ -40,6 +40,10 @@ def test_filter_final_gap_matches_independent_recomputation(seed):
     trace = filter_map(net, image, ref, rmap, cap=2000)
     recomputed = gap(net, image, ref, trace.final_map, cap=2000).gap
     assert recomputed == trace.final_gap
+    # thresholds rise, so each kept map zeroes every value up to its threshold
+    for it in trace.iterations:
+        kept = np.where(rmap.values <= it.threshold, 0, rmap.values)
+        assert gap(net, image, ref, kept, cap=2000).gap == it.gap
 
 
 def test_filter_only_zeroes_and_never_rescales():

@@ -1,4 +1,8 @@
-"""apemkit: adversarial-perturbation evaluation of pixel relevance maps."""
+"""apemkit: adversarial-perturbation evaluation of pixel relevance maps.
+
+`apemkit.apem` is the mean-gap function exported below, not the submodule
+it comes from; `importlib.import_module("apemkit.apem")` returns the module.
+"""
 
 from .apem import (
     GapResult,
@@ -8,6 +12,7 @@ from .apem import (
     find_epsilon_scan,
     gap,
     gap_quartiles,
+    gaps,
     irrelevance,
     normalize_l1,
     shuffle_map,

@@ -83,10 +83,10 @@ def _margin_slope_net(net: Network, reference_class: int) -> Network:
     return Network(layers, net.input_shape)
 
 
-# Blocks start at _FIRST_BLOCK rows and double up to _MAX_BLOCK; one forward
-# call takes at most _CALL_ROWS rows however many rays are searched, so the
-# engine's memory stays flat.
-_FIRST_BLOCK, _MAX_BLOCK, _CALL_ROWS = 8, 64, 64
+# Each round evaluates a block of _BLOCK rows per ray, or 1 row after a skip;
+# one forward call takes at most _CALL_ROWS rows however many rays are
+# searched, because a row costs least in calls of 8-16 rows.
+_BLOCK, _CALL_ROWS = 4, 16
 
 
 def _check_search(net: Network, image, reference_class: int, step: float, cap: int):
@@ -142,7 +142,7 @@ def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[
     slopes = [z[0, others] for z in _batched_logits(
         _margin_slope_net(net, reference_class), ((np.abs(r) * step)[None] for r in r_dirs))]
     found = [(cap, True)] * len(r_dirs)
-    live = {i: (1, _FIRST_BLOCK) for i in range(len(r_dirs))}  # ray: (start, block)
+    live = {i: (1, _BLOCK) for i in range(len(r_dirs))}  # ray: (start, block)
     while live:
         blocks = {i: np.arange(start, min(start + block - 1, cap) + 1)
                   for i, (start, block) in live.items()}
@@ -161,10 +161,8 @@ def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[
             next_start = max(ks[-1] + 1, uncertified)
             if next_start <= cap:
                 # after a skip, one row's certificate mostly reaches past what
-                # a block would cover; otherwise grow blocks, bounded to keep
-                # memory flat
-                skipped = uncertified > ks[-1] + 1
-                next_live[i] = int(next_start), 1 if skipped else min(live[i][1] * 2, _MAX_BLOCK)
+                # a block would cover
+                next_live[i] = int(next_start), 1 if uncertified > ks[-1] + 1 else _BLOCK
         live = next_live
     return found
 
@@ -192,13 +190,12 @@ def find_epsilon(
     k < k_i + min_c (m_ic - 2g) / L_c, where the guard
     g = 1e-6 * (1 + max|logits|) over k_i's block dwarfs float64 rounding
     in the logits. The next block starts at the first k no evaluated row
-    certifies; past cap, the search returns (cap, True). Blocks start at 8
-    rows, double up to 64 while nothing is skipped, and drop to 1 row after
-    a skip.
+    certifies; past cap, the search returns (cap, True). A block is 4 rows,
+    or 1 row after a skip.
 
     This is the one-ray case of the lockstep search that gaps() runs over
     all the rays of an image, whose blocks share forward calls of at most
-    64 rows; both give each ray the same rows and the same result.
+    16 rows; both give each ray the same rows and the same result.
     """
     image = _check_search(net, image, reference_class, step, cap)
     if r_dir.shape != image.shape:

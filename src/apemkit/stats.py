@@ -161,6 +161,11 @@ def epsilon_plus_diff(eps_a: dict, eps_b: dict, bin_width: float = 1.0):
     return diffs, counts, edges
 
 
+# permutations spearman shuffles and scores at a time: a chunk holds
+# _PERMUTATION_CHUNK * n floats
+_PERMUTATION_CHUNK = 2000
+
+
 def spearman(
     x, y, n_permutations: int = 10_000, seed: int = 0
 ) -> CorrelationResult:
@@ -196,11 +201,13 @@ def spearman(
     rx = (rx - rx.mean()) / sx
     ry = (ry - ry.mean()) / sy
 
+    # each row of a chunk is shuffled in turn, the same stream as one
+    # rng.permutation(ry) per permutation
     rng = np.random.default_rng(seed)
     hits = 0
-    for _ in range(n_permutations):
-        perm_rho = np.dot(rx, rng.permutation(ry)) / n
-        if abs(perm_rho) >= abs(rho) - 1e-12:
-            hits += 1
+    for done in range(0, n_permutations, _PERMUTATION_CHUNK):
+        rows = min(_PERMUTATION_CHUNK, n_permutations - done)
+        perm_rho = rng.permuted(np.broadcast_to(ry, (rows, n)), axis=1) @ rx / n
+        hits += int(np.count_nonzero(np.abs(perm_rho) >= abs(rho) - 1e-12))
     p = (hits + 1) / (n_permutations + 1)
     return CorrelationResult(rho, p, n)

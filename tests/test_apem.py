@@ -206,7 +206,7 @@ def test_find_epsilon_zero_ray_returns_after_one_block(monkeypatch, desk_model, 
     rows = _count_rows(monkeypatch)
     result = find_epsilon(desk_model, image, ref, np.zeros_like(image), cap=2500)
     assert result == (2500, True)
-    assert sum(rows) <= 9  # the slope-bound pass plus one block
+    assert sum(rows) <= 1 + apem_module._BLOCK  # the slope-bound pass plus one block
 
 
 def test_find_epsilon_skips_most_of_a_capped_desk_ray(monkeypatch, desk_model, desk_test_set):
@@ -216,6 +216,44 @@ def test_find_epsilon_skips_most_of_a_capped_desk_ray(monkeypatch, desk_model, d
     rows = _count_rows(monkeypatch)
     assert find_epsilon(desk_model, image, ref, r_dir, cap=cap) == (cap, True)
     assert sum(rows) < 0.05 * cap
+
+
+# (image, method, ray, cap): a ray that flips after rounds that skip and
+# rounds that do not, and a capped ray whose last block is cut at the cap
+@pytest.mark.parametrize("idx, method, ray, cap", [(0, "gradient", "irr", 2500),
+                                                  (71, "gradient", "rel", 2498)])
+def test_find_epsilon_blocks_are_fixed_and_one_row_after_a_skip(monkeypatch, desk_model,
+                                                                desk_test_set, idx, method,
+                                                                ray, cap):
+    image = desk_test_set.images[idx]
+    ref, r_dir = _desk_ray(desk_model, image, method, ray)
+    calls = []
+    batch = apem_module.forward_logits_batch
+
+    def spy(net_, xs, start=0):
+        calls.append(xs.copy())
+        return batch(net_, xs, start)
+
+    monkeypatch.setattr(apem_module, "forward_logits_batch", spy)
+    k, capped = find_epsilon(desk_model, image, ref, r_dir, cap=cap)
+    # one ray: the slope pass, then one call per round; each row's k read back
+    # from the pixel the ray moves most
+    p = np.argmax(np.abs(r_dir))
+    rounds = [np.rint((xs.reshape(len(xs), -1)[:, p] - image.ravel()[p]) / r_dir.ravel()[p])
+              for xs in calls[1:]]
+    assert len(calls[0]) == 1
+    assert list(rounds[0]) == list(range(1, apem_module._BLOCK + 1))
+    skips = 0
+    for before, ks in zip(rounds, rounds[1:]):
+        skipped = ks[0] > before[-1] + 1
+        skips += skipped
+        rows = 1 if skipped else apem_module._BLOCK
+        assert list(ks) == list(range(int(ks[0]), int(min(ks[0] + rows - 1, cap)) + 1))
+    if idx == 0:
+        assert not capped and k in rounds[-1] and 0 < skips < len(rounds) - 1
+    else:  # no round skips, so the last block is cut at the cap
+        assert capped and skips == 0
+        assert rounds[-1][-1] == cap and len(rounds[-1]) == cap % apem_module._BLOCK
 
 
 def _tie_net(signs, thresholds, out_weight, out_bias):
@@ -355,7 +393,7 @@ def test_gaps_equal_gap_per_map_in_fewer_calls(monkeypatch, desk_model, desk_tes
     together = gaps(desk_model, image, ref, maps, step, cap, clip)
     assert together == each
     assert together[-2:] == [None, None]
-    assert max(rows) <= 64
+    assert max(rows) <= apem_module._CALL_ROWS
     assert sum(rows) == sum(each_rows)
     assert len(rows) < len(each_rows)
     if idx == 2:
@@ -399,6 +437,13 @@ def test_gaps_reject_what_gap_rejects(ref_shift, bad_value, step, cap):
 # ---------------------------------------------------------------------------
 # Aggregates and shuffling
 # ---------------------------------------------------------------------------
+
+
+def test_package_exports_gaps_and_the_mean_function_apem():
+    import apemkit
+
+    assert apemkit.gaps is gaps
+    assert apemkit.apem is apem  # the function shadows the submodule
 
 
 def test_apem_is_mean_of_gaps():

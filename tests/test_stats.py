@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata, spearmanr
 
 from apemkit.errors import DataError
 from apemkit.stats import (
@@ -96,12 +99,47 @@ def test_spearman_handles_constant_input_and_short_samples():
 
 def test_spearman_ties_use_average_ranks():
     # y has ties; rho must match scipy's tie-corrected value
-    from scipy.stats import spearmanr
-
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     y = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
     r = spearman(x, y, n_permutations=10)
     assert abs(r.rho - spearmanr(x, y)[0]) < 1e-12
+
+
+def _loop_p_value(x, y, rho, n_permutations, seed):
+    """The permutation test one rng.permutation at a time: the reference for
+    spearman's chunked permutations."""
+    rx, ry = rankdata(x), rankdata(y)
+    rx = (rx - rx.mean()) / rx.std()
+    ry = (ry - ry.mean()) / ry.std()
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_permutations):
+        if abs(np.dot(rx, rng.permutation(ry)) / len(x)) >= abs(rho) - 1e-12:
+            hits += 1
+    return (hits + 1) / (n_permutations + 1)
+
+
+@st.composite
+def _spearman_cases(draw):
+    n = draw(st.integers(3, 60))
+    # a small value range gives ties, a large one mostly none
+    values = st.integers(0, draw(st.sampled_from([2, 5, 10**6])))
+    x = draw(st.lists(values, min_size=n, max_size=n))
+    y = draw(st.lists(values, min_size=n, max_size=n))
+    return x, y, draw(st.integers(1, 4500)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spearman_cases())
+# more than two chunks of permutations, the last one partial
+@example(([3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8], 4001, 0))
+def test_spearman_rho_and_p_equal_the_permutation_loop(case):
+    x, y, n_permutations, seed = case
+    x, y = np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
+    r = spearman(x, y, n_permutations=n_permutations, seed=seed)
+    assume(r.rho is not None)
+    assert abs(r.rho - spearmanr(x, y)[0]) < 1e-12
+    assert r.p_value == _loop_p_value(x, y, r.rho, n_permutations, seed)
 
 
 # ---------------------------------------------------------------------------

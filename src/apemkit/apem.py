@@ -16,8 +16,6 @@ import numpy as np
 from .errors import InputShapeError, ZeroMapError
 from .explain import RelevanceMap
 from .netcore import (
-    Conv2D,
-    Dense,
     Network,
     _check_input,
     forward,
@@ -71,21 +69,17 @@ def _margin_slope_net(net: Network, reference_class: int) -> Network:
     layers = []
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
-        if layer.kind == "dense":
+        if layer.affine:
             w = layer.weight
             w = np.abs(w[reference_class] - w) if i == last else np.abs(w)
-            layers.append(Dense(w, np.zeros(w.shape[0])))
-        elif layer.kind == "conv2d":
-            layers.append(Conv2D(np.abs(layer.weight), np.zeros(layer.weight.shape[0]),
-                                 layer.stride, layer.padding))
-        else:
-            layers.append(layer)
+            layer = type(layer)(w, np.zeros(w.shape[0]), **layer.hyperparameters())
+        layers.append(layer)
     return Network(layers, net.input_shape)
 
 
 # Each round evaluates a block of _BLOCK rows per ray, or 1 row after a skip;
-# one forward call takes at most _CALL_ROWS rows however many rays are
-# searched, because a row costs least in calls of 8-16 rows.
+# the rows of all rays are sliced into forward calls of at most _CALL_ROWS
+# rows, because a row costs least in calls of 8-16 rows.
 _BLOCK, _CALL_ROWS = 4, 16
 
 
@@ -103,26 +97,10 @@ def _check_search(net: Network, image, reference_class: int, step: float, cap: i
     return image
 
 
-def _batched_logits(net: Network, batches) -> list[np.ndarray]:
-    """Logits of each (n_i, ...) batch of inputs, n_i <= _CALL_ROWS. Whole
-    batches, taken in order, share forward calls of at most _CALL_ROWS rows;
-    batches are consumed lazily, so only one call's inputs exist at a time."""
-    out, call = [], []
-
-    def run():
-        z = forward_logits_batch(net, call[0] if len(call) == 1 else np.concatenate(call))
-        for xs in call:
-            out.append(z[:len(xs)])
-            z = z[len(xs):]
-        call.clear()
-
-    for xs in batches:
-        if call and sum(map(len, call)) + len(xs) > _CALL_ROWS:
-            run()
-        call.append(xs)
-    if call:
-        run()
-    return out
+def _sliced_logits(net: Network, xs: np.ndarray) -> np.ndarray:
+    """Logits of the rows xs, in forward calls of at most _CALL_ROWS rows."""
+    return np.concatenate([forward_logits_batch(net, xs[i:i + _CALL_ROWS])
+                           for i in range(0, len(xs), _CALL_ROWS)])
 
 
 def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[np.ndarray],
@@ -130,25 +108,27 @@ def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[
     """find_epsilon's (k, capped) for every ray in r_dirs, searched in lockstep.
 
     Each ray keeps its own start, block size and certificate. Each round
-    evaluates the next block of every live ray, all blocks together. A row's
-    logits do not depend on its batch, so every ray evaluates exactly the
-    rows it would evaluate alone.
+    stacks the next block of every live ray into one row array, sliced into
+    forward calls. A row's logits do not depend on its batch, so every ray
+    evaluates exactly the rows it would evaluate alone.
     """
-    def perturbed(i, ks):
-        xs = image[None] + r_dirs[i][None] * (ks * step).reshape((-1,) + (1,) * image.ndim)
-        return np.clip(xs, 0.0, 1.0) if clip else xs
-
+    if not r_dirs:
+        return []
+    rays = np.stack(r_dirs)
     others = np.arange(net.num_classes) != reference_class
-    slopes = [z[0, others] for z in _batched_logits(
-        _margin_slope_net(net, reference_class), ((np.abs(r) * step)[None] for r in r_dirs))]
-    found = [(cap, True)] * len(r_dirs)
-    live = {i: (1, _BLOCK) for i in range(len(r_dirs))}  # ray: (start, block)
+    slopes = _sliced_logits(_margin_slope_net(net, reference_class), np.abs(rays) * step)[:, others]
+    found = [(cap, True)] * len(rays)
+    live = {i: (1, _BLOCK) for i in range(len(rays))}  # ray: (start, block)
     while live:
         blocks = {i: np.arange(start, min(start + block - 1, cap) + 1)
                   for i, (start, block) in live.items()}
-        logits = _batched_logits(net, (perturbed(i, ks) for i, ks in blocks.items()))
+        ray_of_row = np.repeat(list(blocks), [len(ks) for ks in blocks.values()])
+        k_steps = np.concatenate(list(blocks.values())) * step
+        xs = image + rays[ray_of_row] * k_steps.reshape((-1,) + (1,) * image.ndim)
+        logits = _sliced_logits(net, np.clip(xs, 0.0, 1.0) if clip else xs)
         next_live = {}
-        for (i, ks), z in zip(blocks.items(), logits):
+        for i, ks in blocks.items():
+            z, logits = logits[:len(ks)], logits[len(ks):]
             flips = np.argmax(z, axis=1) != reference_class
             if flips.any():
                 found[i] = int(ks[np.argmax(flips)]), False
@@ -194,8 +174,8 @@ def find_epsilon(
     or 1 row after a skip.
 
     This is the one-ray case of the lockstep search that gaps() runs over
-    all the rays of an image, whose blocks share forward calls of at most
-    16 rows; both give each ray the same rows and the same result.
+    all the rays of an image, whose rows are sliced into forward calls of
+    at most 16 rows; both give each ray the same rows and the same result.
     """
     image = _check_search(net, image, reference_class, step, cap)
     if r_dir.shape != image.shape:
@@ -307,8 +287,9 @@ def gap_quartiles(gaps) -> tuple[float, float, float]:
     return float(q1), float(med), float(q3)
 
 
-def shuffle_map(rmap: RelevanceMap | np.ndarray, seed: int) -> RelevanceMap:
-    """Uniform random permutation of the pixel values (value multiset kept)."""
+def shuffle_map(rmap: RelevanceMap | np.ndarray, seed: int | tuple[int, ...]) -> RelevanceMap:
+    """Uniform random permutation of the pixel values (value multiset kept),
+    drawn by np.random.default_rng(seed): seed is an int >= 0 or a tuple of them."""
     values = rmap.values if isinstance(rmap, RelevanceMap) else np.asarray(rmap)
     stage = rmap.stage if isinstance(rmap, RelevanceMap) else 3
     rng = np.random.default_rng(seed)

@@ -163,14 +163,16 @@ def explain_one(net: Network, cfg: RunConfig, idx: int, image: np.ndarray):
 
 
 def shuffle_one(net: Network, cfg: RunConfig, idx: int, image: np.ndarray, k_shuffles: int):
-    """Gap rows of k shuffled copies of one image's first-method map, per stage."""
+    """Gap rows of k shuffled copies of one image's first-method map, per
+    stage. Shuffle s is seeded by (cfg.seed, idx, s): one stream per
+    (image, shuffle) pair, shared by that pair's stages."""
     ref = forward(net, image).predicted_class
     keys, shuffled = [], []
     for method, stage, _, rmap in image_maps(net, cfg, idx, image, ref, cfg.methods[:1],
                                              (1, 2, 3)):
         for s in range(k_shuffles):
             keys.append((f"img{idx:05d}", method, stage, s))
-            shuffled.append(shuffle_map(rmap, seed=image_seed(cfg.seed, idx) + s + 1))
+            shuffled.append(shuffle_map(rmap, seed=(cfg.seed, idx, s)))
     return [key + f for key, f in zip(keys, gap_fields(net, cfg, image, ref, shuffled))]
 
 
@@ -207,13 +209,6 @@ def run_pool(cfg: RunConfig, net: Network, fn, tasks: list) -> list:
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(net, cfg)) as pool:
         return list(pool.map(partial(_pool_task, fn), tasks, chunksize=1))
-
-
-def run_evaluate(cfg: RunConfig, net: Network, ds: Dataset) -> list[list]:
-    tasks = [(i, ds.images[i], int(ds.labels[i])) for i in range(len(ds))]
-    rows = [row for chunk in run_pool(cfg, net, evaluate_one, tasks) for row in chunk]
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +329,14 @@ def cmd_explain(config_path, **kw):
 def cmd_evaluate(config_path, **kw):
     """Per-image gap CSV, split into correct and misclassified subsets."""
     cfg, out, net, ds = setup(config_path, kw)
-    rows = run_evaluate(cfg, net, ds)
-    write_csv(out / "results" / "per_image.csv", stats_mod.CSV_COLUMNS, rows)
-    correct = [r for r in rows if r[8] == r[9]]
-    wrong = [r for r in rows if r[8] != r[9]]
-    write_csv(out / "results" / "correct.csv", stats_mod.CSV_COLUMNS, correct)
-    write_csv(out / "results" / "misclassified.csv", stats_mod.CSV_COLUMNS, wrong)
+    tasks = [(i, ds.images[i], int(ds.labels[i])) for i in range(len(ds))]
+    rows = sorted((row for chunk in run_pool(cfg, net, evaluate_one, tasks) for row in chunk),
+                  key=lambda r: r[:3])  # image, method, stage
+    pred, true = map(stats_mod.CSV_COLUMNS.index, ("predicted_class", "true_class"))
+    correct = [r for r in rows if r[pred] == r[true]]
+    wrong = [r for r in rows if r[pred] != r[true]]
+    for name, subset in (("per_image", rows), ("correct", correct), ("misclassified", wrong)):
+        write_csv(out / "results" / f"{name}.csv", stats_mod.CSV_COLUMNS, subset)
     click.echo(
         f"evaluated {len(ds)} images x {len(cfg.methods)} methods "
         f"({len(correct)} correct rows, {len(wrong)} misclassified rows) -> "

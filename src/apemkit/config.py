@@ -112,6 +112,7 @@ class RunConfig:
             ("smooth_n", 1, None, False),
             ("sigma", 0, None, False),
             ("lrp_epsilon", 0, None, False),
+            ("seed", 0, None, False),
         ):
             value = getattr(self, name)
             above = value > low if low_open else value >= low

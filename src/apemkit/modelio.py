@@ -22,23 +22,16 @@ import json
 import numpy as np
 
 from .errors import ChecksumError, FormatError
-from .netcore import Conv2D, Dense, Flatten, MaxPool2D, Network, ReLU
+from .netcore import LAYERS, Network
 
 MAGIC = b"APEMKITNET\x00"
 FORMAT_VERSION = 1
 
 
 def _layer_header(layer):
-    h = {"kind": layer.kind}
-    if layer.kind == "dense":
+    h = {"kind": layer.kind, **layer.hyperparameters()}
+    if layer.affine:
         h["weight_shape"] = list(layer.weight.shape)
-    elif layer.kind == "conv2d":
-        h["weight_shape"] = list(layer.weight.shape)
-        h["stride"] = layer.stride
-        h["padding"] = layer.padding
-    elif layer.kind == "maxpool2d":
-        h["size"] = layer.size
-        h["stride"] = layer.stride
     return h
 
 
@@ -50,7 +43,7 @@ def save_model(net: Network, path) -> None:
     }
     blob = bytearray()
     for layer in net.layers:
-        if layer.kind in ("dense", "conv2d"):
+        if layer.affine:
             blob += np.ascontiguousarray(layer.weight, dtype="<f8").tobytes()
             blob += np.ascontiguousarray(layer.bias, dtype="<f8").tobytes()
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -100,22 +93,13 @@ def load_model(path) -> Network:
         layers = []
         for spec in header["layers"]:
             kind = spec.get("kind")
-            if kind == "dense":
-                w = take(spec["weight_shape"])
-                b = take([spec["weight_shape"][0]])
-                layers.append(Dense(w, b))
-            elif kind == "conv2d":
-                w = take(spec["weight_shape"])
-                b = take([spec["weight_shape"][0]])
-                layers.append(Conv2D(w, b, stride=spec["stride"], padding=spec["padding"]))
-            elif kind == "relu":
-                layers.append(ReLU())
-            elif kind == "maxpool2d":
-                layers.append(MaxPool2D(size=spec["size"], stride=spec["stride"]))
-            elif kind == "flatten":
-                layers.append(Flatten())
-            else:
+            if kind not in LAYERS:
                 raise FormatError(f"{path}: unknown layer kind {kind!r}")
+            cls = LAYERS[kind]
+            tensors = ()
+            if cls.affine:  # weight, then a bias of one value per output
+                tensors = take(spec["weight_shape"]), take([spec["weight_shape"][0]])
+            layers.append(cls(*tensors, **{name: spec[name] for name in cls.params}))
         if pos != len(body):
             raise FormatError(f"{path}: {len(body) - pos} trailing bytes after weights")
         return Network(layers, header["input_shape"])

@@ -28,8 +28,19 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 
-class Dense:
-    kind = "dense"
+class Layer:
+    """A layer kind. `params` names its hyperparameters, constructor keywords
+    and attributes alike; an affine kind first takes a weight and a bias."""
+
+    params: tuple[str, ...] = ()
+    affine = False
+
+    def hyperparameters(self) -> dict:
+        return {name: getattr(self, name) for name in self.params}
+
+
+class Dense(Layer):
+    kind, affine = "dense", True
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray):
         # weight: (out, in), bias: (out,)
@@ -46,8 +57,8 @@ class Dense:
         return (self.weight.shape[0],)
 
 
-class Conv2D:
-    kind = "conv2d"
+class Conv2D(Layer):
+    kind, params, affine = "conv2d", ("stride", "padding"), True
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, stride: int = 1, padding: int = 0):
         # weight: (out_c, in_c, kh, kw), bias: (out_c,)
@@ -72,15 +83,15 @@ class Conv2D:
         return (oc, oh, ow)
 
 
-class ReLU:
+class ReLU(Layer):
     kind = "relu"
 
     def output_shape(self, input_shape):
         return tuple(input_shape)
 
 
-class MaxPool2D:
-    kind = "maxpool2d"
+class MaxPool2D(Layer):
+    kind, params = "maxpool2d", ("size", "stride")
 
     def __init__(self, size: int = 2, stride: int | None = None):
         if size < 1:
@@ -99,14 +110,14 @@ class MaxPool2D:
         return (c, oh, ow)
 
 
-class Flatten:
+class Flatten(Layer):
     kind = "flatten"
 
     def output_shape(self, input_shape):
         return (int(np.prod(input_shape)),)
 
 
-LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2d", "flatten")
+LAYERS = {cls.kind: cls for cls in (Dense, Conv2D, ReLU, MaxPool2D, Flatten)}
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +138,7 @@ class Network:
         if not self.layers:
             raise InputShapeError("network needs at least one layer")
         for layer in self.layers:
-            if layer.kind not in LAYER_KINDS:
+            if layer.kind not in LAYERS:
                 raise UnsupportedArchitectureError(f"unsupported layer kind: {layer.kind!r}")
         if self.layers[-1].kind != "dense":
             raise UnsupportedArchitectureError("final layer must be dense (class logits)")

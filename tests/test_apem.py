@@ -400,6 +400,38 @@ def test_gaps_equal_gap_per_map_in_fewer_calls(monkeypatch, desk_model, desk_tes
         assert any(g.capped_minus or g.capped_plus for g in together[:-2])
 
 
+# (image, step, clip) at cap 2500, with rounds that mix 1-row and 4-row blocks
+@pytest.mark.parametrize("idx, step, clip", [(2, 1.0, False), (2, 0.5, True), (0, 1.0, True)])
+def test_gaps_fill_every_forward_call_but_the_last_of_a_round(monkeypatch, desk_model,
+                                                             desk_test_set, idx, step, clip):
+    cap = 2500
+    image = desk_test_set.images[idx]
+    ref = forward(desk_model, image).predicted_class
+    maps = [simplify(compute_map(desk_model, image, m, target=ref), image, stage=3)
+            for m in METHOD_NAMES]
+    grad = input_gradient(desk_model, image, ref)
+    rays = [ray for m in maps for ray in apem_module._ray_pair(m, grad)]
+    rows = _count_rows(monkeypatch)
+    alone = []  # each ray searched alone: the slope pass, then one call per round
+    for ray in rays:
+        rows.clear()
+        find_epsilon(desk_model, image, ref, ray, step, cap, clip)
+        alone.append(rows[1:])
+    rows.clear()
+    for m in maps:
+        gap(desk_model, image, ref, m, step, cap, clip)
+    each_rows = sum(rows)
+    rows.clear()
+    gaps(desk_model, image, ref, maps, step, cap, clip)
+    # the slope pass of every ray, then each round's blocks of all live rays
+    rounds = [len(rays)] + [sum(calls[r] for calls in alone if r < len(calls))
+                            for r in range(max(map(len, alone)))]
+    n = apem_module._CALL_ROWS
+    assert rows == [min(n, total - i) for total in rounds for i in range(0, total, n)]
+    assert sum(rows) == each_rows
+    assert any(1 in calls and apem_module._BLOCK in calls for calls in alone)
+
+
 def test_gaps_skip_undefined_maps_without_a_search(monkeypatch):
     net = random_net(3)
     image = np.random.default_rng(3).uniform(0, 1, (1, 8, 8))

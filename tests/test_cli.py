@@ -96,6 +96,26 @@ def test_shuffle_test_writes_k_rows_per_image_and_stage(tiny_run):
     assert len(lines) - 1 == 2 * 3 * 3  # images x stages x shuffles
 
 
+def test_no_two_image_shuffle_pairs_of_a_run_share_a_permutation(tiny_run, monkeypatch):
+    perms = []  # the permutation of every shuffle_map call, in row order
+    shuffle_map = cli.shuffle_map
+
+    def spy(rmap, seed):
+        shape = rmap.values.shape
+        perms.append(shuffle_map(np.arange(np.prod(shape)).reshape(shape), seed).values.tobytes())
+        return shuffle_map(rmap, seed)
+
+    monkeypatch.setattr(cli, "shuffle_map", spy)
+    assert main(["shuffle-test", *_args(tiny_run), "--k-shuffles", "3"]) == 0
+    rows = _csv_dicts(os.path.join(tiny_run, "results", "shuffle.csv"))
+    by_pair = {}
+    for row, perm in zip(rows, perms, strict=True):
+        by_pair.setdefault((row["image_id"], row["shuffle_index"]), set()).add(perm)
+    assert len(by_pair) == 4 * 3  # images x shuffles
+    assert all(len(p) == 1 for p in by_pair.values())  # a pair's stages share one
+    assert len(set().union(*by_pair.values())) == len(by_pair)
+
+
 def test_filter_writes_filtered_maps_and_trace(tiny_run):
     assert main(["filter", *_args(tiny_run, "--limit", "2", "--methods", "gradient")]) == 0
     filtered = os.path.join(tiny_run, "maps", "filtered")
@@ -137,6 +157,13 @@ def test_exit_code_2_on_config_errors(tmp_path):
 )
 def test_exit_code_2_on_out_of_range_values(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
+
+
+def test_exit_code_2_on_a_negative_seed(tiny_run, monkeypatch):
+    # not a ValueError from SmoothGrad's generator once the run has started
+    assert main(["explain", *_args(tiny_run, "--methods", "smoothgrad", "--seed", "-1")]) == 2
+    monkeypatch.setenv("APEMKIT_SEED", "-1")
+    assert main(["explain", *_args(tiny_run, "--methods", "smoothgrad")]) == 2
 
 
 @pytest.mark.parametrize(

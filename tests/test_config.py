@@ -67,6 +67,7 @@ def test_missing_config_file_is_a_config_error(tmp_path):
         {"noise_std": float("nan")},
         {"batch_fraction": float("nan")},
         {"step": float("-inf")},
+        {"seed": -1},
     ],
 )
 def test_invalid_values_are_rejected(kw):

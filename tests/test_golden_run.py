@@ -198,7 +198,7 @@ GOLDEN = {
     "results/per_image.csv":
         "c3b5d82b35e17431a50c7b3cf34ecc1b21356011188629854dce97a32b0e922c",
     "results/shuffle.csv":
-        "418843cc659d5fa3687e7bdea55a176e23485bd776899c792565f4ca6a5a7399",
+        "cdab0f3adf886e0a8b0cf9378a2908d3bb0c9b8cea4372c86f0369d601a3e1bf",
 }
 
 

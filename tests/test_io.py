@@ -21,7 +21,7 @@ def test_model_round_trip_preserves_weights_and_predictions(tmp_path):
     save_model(net, path)
     loaded = load_model(path)
     for a, b in zip(net.layers, loaded.layers):
-        assert a.kind == b.kind
+        assert a.kind == b.kind and a.hyperparameters() == b.hyperparameters()
         if hasattr(a, "weight"):
             np.testing.assert_array_equal(a.weight, b.weight)
             np.testing.assert_array_equal(a.bias, b.bias)
@@ -101,6 +101,15 @@ def test_checksummed_model_with_malformed_header_is_a_format_error(tmp_path, edi
     save_model(random_net(9), path)
     _rewrite_header(path, edit)
     with pytest.raises(FormatError, match="malformed header"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["softmax", "Dense", None, ["relu"]])
+def test_model_with_an_unknown_layer_kind_is_a_format_error(tmp_path, kind):
+    path = tmp_path / "m.net"
+    save_model(random_net(9), path)
+    _rewrite_header(path, lambda h: h["layers"][1].update(kind=kind))
+    with pytest.raises(FormatError):
         load_model(path)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import itertools
 import json
 import os
 import sys
@@ -56,7 +57,7 @@ from .netcore import (
 def load_dataset(cfg: RunConfig) -> Dataset:
     if cfg.dataset_kind == "idx":
         for p in (cfg.dataset_images, cfg.dataset_labels):
-            if not os.path.exists(p):
+            if not os.path.isfile(p):
                 raise DataError(f"dataset file not found: {p}")
         ds = load_idx_dataset(cfg.dataset_images, cfg.dataset_labels)
     else:
@@ -85,11 +86,21 @@ def image_seed(cfg_seed: int, idx: int) -> int:
     return cfg_seed * 1_000_003 + idx
 
 
+def image_id(idx: int) -> str:
+    """The id of dataset image `idx` in result rows and map files."""
+    return f"img{idx:05d}"
+
+
+def map_file(idx: int, method: str, stage: int) -> str:
+    """The file name of image `idx`'s `method` map at `stage`."""
+    return f"{image_id(idx)}_{method}_s{stage}.map"
+
+
 def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # np.float64 reprs as "np.float64(...)" under NumPy 2
     return str(v)
 
 
@@ -103,7 +114,7 @@ def write_csv(path, header, rows):
 
 def require_model(cfg: RunConfig) -> Network:
     path = cfg.model or str(Path(cfg.out) / "model.net")
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"model file not found: {path} (run 'apemkit train' first)")
     net = load_model(path)
     expected = (1, cfg.image_size, cfg.image_size) if cfg.dataset_kind == "synthetic" else None
@@ -133,9 +144,9 @@ def image_maps(net: Network, cfg: RunConfig, idx: int, image: np.ndarray, ref: i
 
 def gap_fields(net: Network, cfg: RunConfig, image: np.ndarray, ref: int, rmaps) -> list:
     """The GapResult fields of each map of one image, from one lockstep
-    search; all empty where a map is all zero and its gap is undefined."""
+    search; all None where a map is all zero and its gap is undefined."""
     return [
-        ("",) * len(stats_mod.GAP_COLUMNS) if g is None else astuple(g)
+        (None,) * len(stats_mod.GAP_COLUMNS) if g is None else astuple(g)
         for g in gaps(net, image, ref, rmaps, cfg.step, cfg.cap, cfg.clip)
     ]
 
@@ -149,7 +160,7 @@ def evaluate_one(net: Network, cfg: RunConfig, idx: int, image: np.ndarray, labe
     maps = list(image_maps(net, cfg, idx, image, ref, cfg.methods, (cfg.stage,)))
     fields = gap_fields(net, cfg, image, ref, [rmap for *_, rmap in maps])
     return [
-        [f"img{idx:05d}", method, stage, *f, ref, label, pred.confidence, j]
+        [image_id(idx), method, stage, *f, ref, label, pred.confidence, j]
         for (method, stage, _, _), f in zip(maps, fields)
     ]
 
@@ -171,7 +182,7 @@ def shuffle_one(net: Network, cfg: RunConfig, idx: int, image: np.ndarray, k_shu
     for method, stage, _, rmap in image_maps(net, cfg, idx, image, ref, cfg.methods[:1],
                                              (1, 2, 3)):
         for s in range(k_shuffles):
-            keys.append((f"img{idx:05d}", method, stage, s))
+            keys.append((image_id(idx), method, stage, s))
             shuffled.append(shuffle_map(rmap, seed=(cfg.seed, idx, s)))
     return [key + f for key, f in zip(keys, gap_fields(net, cfg, image, ref, shuffled))]
 
@@ -318,8 +329,8 @@ def cmd_explain(config_path, **kw):
     count = 0
     for (idx, _), maps in zip(tasks, run_pool(cfg, net, explain_one, tasks)):
         for method, stage, params, rmap in maps:
-            path = out / "maps" / f"img{idx:05d}_{method}_s{stage}.map"
-            save_map(rmap, path, image_id=f"img{idx:05d}", method=method, params=params)
+            save_map(rmap, out / "maps" / map_file(idx, method, stage), image_id=image_id(idx),
+                     method=method, params=params)
             count += 1
     click.echo(f"wrote {count} map files -> {out / 'maps'}")
 
@@ -372,13 +383,13 @@ def cmd_filter(config_path, **kw):
     for (idx, _, method), trace in zip(tasks, run_pool(cfg, net, filter_one, tasks)):
         if trace is None:
             continue
-        image_id, stage = f"img{idx:05d}", cfg.stage
-        path = out / "maps" / "filtered" / f"{image_id}_{method}_s{stage}.map"
-        save_map(trace.final_map, path, image_id=image_id, method=method,
+        name, stage = image_id(idx), cfg.stage
+        save_map(trace.final_map, out / "maps" / "filtered" / map_file(idx, method, stage),
+                 image_id=name, method=method,
                  params={"filtered": True, "batch_fraction": cfg.batch_fraction})
-        rows.append([image_id, method, stage, 0, "", 0, trace.original_gap])
+        rows.append([name, method, stage, 0, "", 0, trace.original_gap])
         for it_idx, it in enumerate(trace.iterations, start=1):
-            rows.append([image_id, method, stage, it_idx, it.threshold, it.zeroed, it.gap])
+            rows.append([name, method, stage, it_idx, it.threshold, it.zeroed, it.gap])
     write_csv(out / "results" / "filter_trace.csv", header, rows)
     click.echo(f"filtered maps -> {out / 'maps' / 'filtered'}")
 
@@ -403,29 +414,28 @@ def cmd_report(config_path, **kw):
     measured: dict[tuple, dict] = {}
     for r in rows:
         if stats_mod.row_is_measured(r):
-            measured.setdefault((r["method"], int(r["stage"])), {})[r["image_id"]] = r
+            measured.setdefault((r["method"], r["stage"]), {})[r["image_id"]] = r
 
     def column(key, name):
-        return {image_id: float(r[name]) for image_id, r in measured[key].items()}
+        return {image_id: r[name] for image_id, r in measured[key].items()}
 
     pw_rows = []
     diff_rows = []
     keys = sorted(measured)
-    for a in keys:
-        for b in keys:
-            if a[1] != b[1] or a[0] >= b[0]:
-                continue
-            if not measured[a].keys() & measured[b].keys():
-                # no shared image: nothing to compare, no histogram
-                pw_rows.append([a[0], b[0], a[1], "", "", "", 0,
-                                len(measured[a].keys() | measured[b].keys())])
-                continue
-            pw = stats_mod.pairwise(column(a, "gap"), column(b, "gap"))
-            pw_rows.append([a[0], b[0], a[1], *astuple(pw)])
-            _, counts, edges = stats_mod.epsilon_plus_diff(column(a, "eps_plus"),
-                                                           column(b, "eps_plus"))
-            for i, c in enumerate(counts):
-                diff_rows.append([a[0], b[0], a[1], edges[i], edges[i + 1], int(c)])
+    for a, b in itertools.combinations(keys, 2):
+        if a[1] != b[1]:
+            continue
+        if not measured[a].keys() & measured[b].keys():
+            # no shared image: nothing to compare, no histogram
+            pw_rows.append([a[0], b[0], a[1], "", "", "", 0,
+                            len(measured[a].keys() | measured[b].keys())])
+            continue
+        pw = stats_mod.pairwise(column(a, "gap"), column(b, "gap"))
+        pw_rows.append([a[0], b[0], a[1], *astuple(pw)])
+        _, counts, edges = stats_mod.epsilon_plus_diff(column(a, "eps_plus"),
+                                                       column(b, "eps_plus"))
+        for i, c in enumerate(counts):
+            diff_rows.append([a[0], b[0], a[1], edges[i], edges[i + 1], int(c)])
     write_csv(out / "reports" / "pairwise.csv",
               ["method_a", "method_b", "stage", *stats_mod.columns(stats_mod.PairwiseResult)],
               pw_rows)
@@ -442,16 +452,14 @@ def cmd_report(config_path, **kw):
     for subset_name, subset in subsets.items():
         for method, stage in keys:
             sel = [r for r in subset
-                   if r["method"] == method and int(r["stage"]) == stage
+                   if r["method"] == method and r["stage"] == stage
                    and stats_mod.row_is_measured(r)]
             if len(sel) < 3:
                 continue
-            res = stats_mod.spearman([float(r["gap"]) for r in sel],
-                                     [float(r["loss"]) for r in sel], seed=cfg.seed)
+            res = stats_mod.spearman([r["gap"] for r in sel], [r["loss"] for r in sel],
+                                     seed=cfg.seed)
             corr_rows.append([f"{method}_gap", "loss", stage, subset_name, *astuple(res)])
-        dedup = {}
-        for r in subset:
-            dedup[r["image_id"]] = (float(r["confidence"]), float(r["loss"]))
+        dedup = {r["image_id"]: (r["confidence"], r["loss"]) for r in subset}
         if len(dedup) >= 3:
             conf, lo = zip(*dedup.values())
             res = stats_mod.spearman(conf, lo, seed=cfg.seed)

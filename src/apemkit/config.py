@@ -150,10 +150,13 @@ class RunConfig:
     @classmethod
     def load(cls, path) -> "RunConfig":
         try:
-            with open(path) as f:
-                return cls.from_json(f.read())
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
         except FileNotFoundError as e:
             raise ConfigError(f"config file not found: {path}") from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"config file unreadable: {path}: {e}") from e
+        return cls.from_json(text)
 
     def save(self, path):
         with open(path, "w") as f:

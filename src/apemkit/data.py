@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 
 import numpy as np
 
@@ -15,12 +16,16 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
-def _open_maybe_gzip(path):
+def _read_maybe_gzip(path) -> bytes:
+    """A file's bytes, gunzipped when it starts with the gzip magic."""
     with open(path, "rb") as f:
-        head = f.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+        raw = f.read()
+    if raw[:2] != b"\x1f\x8b":
+        return raw
+    try:
+        return gzip.decompress(raw)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as e:
+        raise FormatError(f"{path}: bad gzip data: {e}") from None
 
 
 def load_idx_images(path) -> np.ndarray:
@@ -28,14 +33,13 @@ def load_idx_images(path) -> np.ndarray:
 
     Returns (n, 1, h, w) float64.
     """
-    with _open_maybe_gzip(path) as f:
-        header = f.read(16)
-        if len(header) < 16:
-            raise FormatError(f"{path}: truncated IDX image header")
-        magic, n, h, w = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(f"{path}: bad IDX image magic 0x{magic:08x}")
-        raw = f.read(n * h * w)
+    data = _read_maybe_gzip(path)
+    if len(data) < 16:
+        raise FormatError(f"{path}: truncated IDX image header")
+    magic, n, h, w = struct.unpack(">IIII", data[:16])
+    if magic != IDX_IMAGE_MAGIC:
+        raise FormatError(f"{path}: bad IDX image magic 0x{magic:08x}")
+    raw = data[16 : 16 + n * h * w]
     if len(raw) != n * h * w:
         raise FormatError(f"{path}: expected {n * h * w} pixels, got {len(raw)}")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w)
@@ -43,14 +47,13 @@ def load_idx_images(path) -> np.ndarray:
 
 
 def load_idx_labels(path) -> np.ndarray:
-    with _open_maybe_gzip(path) as f:
-        header = f.read(8)
-        if len(header) < 8:
-            raise FormatError(f"{path}: truncated IDX label header")
-        magic, n = struct.unpack(">II", header)
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(f"{path}: bad IDX label magic 0x{magic:08x}")
-        raw = f.read(n)
+    data = _read_maybe_gzip(path)
+    if len(data) < 8:
+        raise FormatError(f"{path}: truncated IDX label header")
+    magic, n = struct.unpack(">II", data[:8])
+    if magic != IDX_LABEL_MAGIC:
+        raise FormatError(f"{path}: bad IDX label magic 0x{magic:08x}")
+    raw = data[8 : 8 + n]
     if len(raw) != n:
         raise FormatError(f"{path}: expected {n} labels, got {len(raw)}")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)

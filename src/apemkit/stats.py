@@ -9,6 +9,7 @@ permutation test for significance.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -50,49 +51,55 @@ class CorrelationResult:
     reason: str | None = None
 
 
-# a parser per typed column; each raises ValueError on a malformed field
-_FIELD_CHECKS = {
+# the parser of each typed column; each raises ValueError on a malformed field
+_FIELD_PARSERS = {
     **dict.fromkeys(("stage", "predicted_class", "true_class"), int),
-    **dict.fromkeys(("eps_minus", "eps_plus", "gap"), lambda v: v == "" or int(v)),
-    **dict.fromkeys(("capped_minus", "capped_plus"), ("True", "False", "").index),
+    **dict.fromkeys(("eps_minus", "eps_plus", "gap"), lambda v: None if v == "" else int(v)),
+    **dict.fromkeys(("capped_minus", "capped_plus"),
+                    lambda v: (True, False, None)[("True", "False", "").index(v)]),
     **dict.fromkeys(("confidence", "loss"), float),
 }
 
 
 def read_rows(path) -> list[dict]:
-    """Rows of a per-image CSV; DataError names the first malformed line."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise DataError(f"{path}: rows missing columns {missing}")
-        rows = []
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if None in row or None in row.values():
-                raise DataError(f"{where}: expected {len(reader.fieldnames)} fields")
-            for column, check in _FIELD_CHECKS.items():
-                try:
-                    check(row[column])
-                except ValueError:
-                    raise DataError(f"{where}: bad {column} {row[column]!r}") from None
-            if len({row[c] == "" for c in ("eps_minus", "eps_plus", "gap")}) > 1:
-                raise DataError(f"{where}: eps_minus, eps_plus and gap are partly empty")
-            rows.append(row)
+    """Rows of a per-image CSV with every typed column parsed, None where a
+    field is empty; DataError names the first malformed line."""
+    with open(path, newline="", encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text: {e}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
+    if missing:
+        raise DataError(f"{path}: rows missing columns {missing}")
+    rows = []
+    for row in reader:
+        where = f"{path}, line {reader.line_num}"
+        if None in row or None in row.values():
+            raise DataError(f"{where}: expected {len(reader.fieldnames)} fields")
+        for column, parse in _FIELD_PARSERS.items():
+            try:
+                row[column] = parse(row[column])
+            except ValueError:
+                raise DataError(f"{where}: bad {column} {row[column]!r}") from None
+        if len({row[c] is None for c in ("eps_minus", "eps_plus", "gap")}) > 1:
+            raise DataError(f"{where}: eps_minus, eps_plus and gap are partly empty")
+        rows.append(row)
     return rows
 
 
 def row_is_defined(row: dict) -> bool:
-    return row["gap"] != ""
+    return row["gap"] is not None
+
+
+def row_is_capped(row: dict) -> bool:
+    return bool(row["capped_minus"] or row["capped_plus"])
 
 
 def row_is_measured(row: dict) -> bool:
     """Defined and not capped: capped searches are flagged, not measurements."""
-    return (
-        row_is_defined(row)
-        and row["capped_minus"] != "True"
-        and row["capped_plus"] != "True"
-    )
+    return row_is_defined(row) and not row_is_capped(row)
 
 
 def summarize(rows, split_by_correct: bool = False) -> list[MethodSummary]:
@@ -104,18 +111,16 @@ def summarize(rows, split_by_correct: bool = False) -> list[MethodSummary]:
         if split_by_correct:
             correct = row["predicted_class"] == row["true_class"]
             method += "/correct" if correct else "/misclassified"
-        groups.setdefault((method, int(row["stage"])), []).append(row)
+        groups.setdefault((method, row["stage"]), []).append(row)
 
     out = []
     for (method, stage), grp in sorted(groups.items()):
         # capped rows are excluded from the statistics and counted separately
-        measured = [float(r["gap"]) for r in grp if row_is_measured(r)]
+        measured = [r["gap"] for r in grp if row_is_measured(r)]
         mean = apem(measured) if measured else None
         q1, median, q3 = gap_quartiles(measured) if measured else (None, None, None)
-        capped = sum(
-            1 for r in grp if r["capped_minus"] == "True" or r["capped_plus"] == "True"
-        )
-        undefined = sum(1 for r in grp if not row_is_defined(r))
+        capped = sum(map(row_is_capped, grp))
+        undefined = sum(not row_is_defined(r) for r in grp)
         out.append(MethodSummary(method, stage, len(grp), len(measured), mean, median, q1, q3,
                                  capped, undefined))
     return out

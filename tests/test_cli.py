@@ -1,6 +1,7 @@
 """End-to-end CLI runs on a tiny configuration, plus exit-code mapping."""
 
 import csv
+import gzip
 import json
 import os
 
@@ -73,8 +74,8 @@ def test_evaluate_writes_contract_csvs(tiny_run):
     wrong = read_rows(os.path.join(results, "misclassified.csv"))
     assert len(correct) + len(wrong) == len(rows)
     for r in rows:
-        if r["gap"] != "":
-            assert int(r["gap"]) == int(r["eps_plus"]) - int(r["eps_minus"])
+        if r["gap"] is not None:
+            assert r["gap"] == r["eps_plus"] - r["eps_minus"]
 
 
 def test_report_builds_summary_and_correlation_tables(tiny_run):
@@ -136,6 +137,9 @@ def test_exit_code_2_on_config_errors(tmp_path):
     assert main(["evaluate", "--config", str(bad), "--out", str(tmp_path)]) == 2
     bad.write_text('["seed"]')
     assert main(["train", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    bad.write_bytes(b'{"methods": "gr\xe4dient"}')  # not UTF-8
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert main(["train", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize(
@@ -180,10 +184,29 @@ def test_exit_code_2_on_out_of_range_synthetic_fields(tmp_path, fields):
 def test_exit_code_3_on_data_errors(tmp_path):
     # missing model file
     assert main(["evaluate", *TINY, "--out", str(tmp_path)]) == 3
+    # a model path that is a directory
+    assert main(["evaluate", *TINY, "--model", str(tmp_path), "--out", str(tmp_path)]) == 3
     # missing idx dataset files
     assert main([
         "train", "--dataset", "idx:/nope/images:/nope/labels", "--out", str(tmp_path),
     ]) == 3
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda raw: gzip.compress(raw)[:-12], lambda raw: b"\x1f\x8b" + raw],
+    ids=["truncated_gzip", "gzip_magic_on_plain_idx"],
+)
+def test_exit_code_3_on_a_bad_gzip_idx_file(tmp_path, corrupt):
+    from test_data import write_idx_images, write_idx_labels
+
+    images, labels = tmp_path / "images", tmp_path / "labels"
+    write_idx_images(images, np.zeros((6, 28, 28)))
+    write_idx_labels(labels, [0, 1, 2, 3, 4, 5])
+    for path in (images, labels):
+        path.write_bytes(corrupt(path.read_bytes()))
+    assert main(["train", "--dataset", f"idx:{images}:{labels}", "--epochs", "1",
+                 "--out", str(tmp_path / "run")]) == 3
 
 
 def test_exit_code_3_on_idx_labels_outside_the_classes(tmp_path, capsys):
@@ -202,10 +225,11 @@ def test_exit_code_3_on_malformed_per_image_csv(tmp_path):
     results.mkdir()
     header = ("image_id,method,stage,eps_minus,eps_plus,gap,capped_minus,capped_plus,"
               "predicted_class,true_class,confidence,loss")
-    for bad_row in ("img00000,gradient,x,10,30,20,False,False,1,1,0.9,0.1",
-                    "img00000,gradient,3,10,30,abc,False,False,1,1,0.9,0.1",
-                    "img00000,gradient,3,10,30"):
-        (results / "per_image.csv").write_text(f"{header}\n{bad_row}\n")
+    for bad_row in (b"img00000,gradient,x,10,30,20,False,False,1,1,0.9,0.1",
+                    b"img00000,gradient,3,10,30,abc,False,False,1,1,0.9,0.1",
+                    b"img00000,gradient,3,10,30",
+                    b"img00000,gr\xe4dient,3,10,30,20,False,False,1,1,0.9,0.1"):
+        (results / "per_image.csv").write_bytes(f"{header}\n".encode() + bad_row + b"\n")
         assert main(["report", "--out", str(tmp_path)]) == 3
 
 
@@ -320,3 +344,23 @@ def test_report_writes_empty_pairwise_row_when_groups_share_no_image(tmp_path):
                          "n_compared": "0", "n_excluded": "2"}]
     histogram = _csv_dicts(tmp_path / "reports" / "eps_plus_diff.csv")
     assert histogram == []
+
+
+def test_report_writes_histogram_bin_edges_as_plain_floats(tmp_path):
+    results = tmp_path / "results"
+    results.mkdir()
+    header = ("image_id,method,stage,eps_minus,eps_plus,gap,capped_minus,capped_plus,"
+              "predicted_class,true_class,confidence,loss")
+    lines = [
+        header,
+        "img00000,gradient,3,10,30,20,False,False,1,1,0.9,0.1",
+        "img00000,lrp,3,10,32,22,False,False,1,1,0.9,0.1",
+        "img00001,gradient,3,12,40,28,False,False,2,2,0.8,0.2",
+        "img00001,lrp,3,12,41,29,False,False,2,2,0.8,0.2",
+    ]
+    (results / "per_image.csv").write_text("\n".join(lines) + "\n")
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    histogram = _csv_dicts(tmp_path / "reports" / "eps_plus_diff.csv")
+    # eps_plus differences -2 and -1 fill the one closed bin [-2, -1]
+    assert [(float(r["bin_lo"]), float(r["bin_hi"]), r["count"]) for r in histogram] == [
+        (-2.0, -1.0, "2")]

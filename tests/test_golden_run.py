@@ -182,7 +182,7 @@ GOLDEN = {
     "reports/correlation.csv":
         "35aa050c5029489aa6cb5d36a0c8cd2e13a67db990afa6a2396a3ca89d4f427f",
     "reports/eps_plus_diff.csv":
-        "73cbef8e76e6cbb2a0eb6948b2b34ecdc6a43181488ba1c9c27913400a6a6da0",
+        "9f866b9e72ac24cb7412ac44f0c2f32f038499ffde46fe033e7e77da586ea94b",
     "reports/pairwise.csv":
         "3c345f55c87844aeba7eadb819e417e5b9c8f9d0447f33ec80f43b4515ce83ca",
     "reports/summary.csv":

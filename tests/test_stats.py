@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata, spearmanr
 
+from apemkit.cli import _fmt
 from apemkit.errors import DataError
 from apemkit.stats import (
     CSV_COLUMNS,
@@ -20,23 +21,28 @@ from apemkit.stats import (
 
 
 def make_row(**kw):
-    row = {c: "" for c in CSV_COLUMNS}
-    row.update(
+    """A per-image row as read_rows returns it."""
+    row = dict(
         image_id="img0",
         method="gradient",
-        stage="3",
-        eps_minus="3",
-        eps_plus="10",
-        gap="7",
-        capped_minus="False",
-        capped_plus="False",
-        predicted_class="1",
-        true_class="1",
-        confidence="0.9",
-        loss="0.1",
+        stage=3,
+        eps_minus=3,
+        eps_plus=10,
+        gap=7,
+        capped_minus=False,
+        capped_plus=False,
+        predicted_class=1,
+        true_class=1,
+        confidence=0.9,
+        loss=0.1,
     )
-    row.update({k: str(v) for k, v in kw.items()})
+    row.update(kw)
     return row
+
+
+def csv_line(row) -> str:
+    """A row's CSV line, its fields written as the CLI writes them."""
+    return ",".join(_fmt(row[c]) for c in CSV_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +155,10 @@ def test_spearman_rho_and_p_equal_the_permutation_loop(case):
 
 def test_summarize_groups_by_method_and_stage():
     rows = [
-        make_row(image_id="a", gap="10"),
-        make_row(image_id="b", gap="20"),
-        make_row(image_id="a", method="lrp", gap="5"),
-        make_row(image_id="a", stage="1", gap="100"),
+        make_row(image_id="a", gap=10),
+        make_row(image_id="b", gap=20),
+        make_row(image_id="a", method="lrp", gap=5),
+        make_row(image_id="a", stage=1, gap=100),
     ]
     out = {(s.method, s.stage): s for s in summarize(rows)}
     assert out[("gradient", 3)].mean_gap == 15.0
@@ -163,9 +169,9 @@ def test_summarize_groups_by_method_and_stage():
 
 def test_summarize_excludes_capped_and_undefined_rows_from_statistics():
     rows = [
-        make_row(image_id="a", gap="10"),
-        make_row(image_id="b", gap="9990", capped_plus="True"),
-        make_row(image_id="c", gap="", eps_minus="", eps_plus=""),
+        make_row(image_id="a", gap=10),
+        make_row(image_id="b", gap=9990, capped_plus=True),
+        make_row(image_id="c", gap=None, eps_minus=None, eps_plus=None),
     ]
     (s,) = summarize(rows)
     assert s.n_images == 3
@@ -177,10 +183,10 @@ def test_summarize_excludes_capped_and_undefined_rows_from_statistics():
 
 def test_summarize_group_with_no_measured_row_has_no_statistics():
     rows = [
-        make_row(image_id="a", gap="9990", capped_plus="True"),
-        make_row(image_id="b", gap="-9990", capped_minus="True"),
-        make_row(image_id="c", gap="", eps_minus="", eps_plus="",
-                 capped_minus="", capped_plus=""),
+        make_row(image_id="a", gap=9990, capped_plus=True),
+        make_row(image_id="b", gap=-9990, capped_minus=True),
+        make_row(image_id="c", gap=None, eps_minus=None, eps_plus=None,
+                 capped_minus=None, capped_plus=None),
     ]
     (s,) = summarize(rows)
     assert (s.n_images, s.n_defined, s.capped_count, s.undefined_count) == (3, 0, 2, 1)
@@ -189,8 +195,8 @@ def test_summarize_group_with_no_measured_row_has_no_statistics():
 
 def test_summarize_split_by_correctness():
     rows = [
-        make_row(image_id="a", predicted_class="1", true_class="1", gap="10"),
-        make_row(image_id="b", predicted_class="2", true_class="1", gap="2"),
+        make_row(image_id="a", predicted_class=1, true_class=1, gap=10),
+        make_row(image_id="b", predicted_class=2, true_class=1, gap=2),
     ]
     out = {s.method: s for s in summarize(rows, split_by_correct=True)}
     assert out["gradient/correct"].mean_gap == 10.0
@@ -199,8 +205,12 @@ def test_summarize_split_by_correctness():
 
 def test_row_predicates():
     assert row_is_measured(make_row())
-    assert not row_is_defined(make_row(gap=""))
-    assert not row_is_measured(make_row(capped_minus="True"))
+    assert not row_is_defined(make_row(gap=None))
+    assert not row_is_measured(make_row(capped_minus=True))
+
+
+def _write_rows(path, rows):
+    path.write_text("\n".join([",".join(CSV_COLUMNS), *rows]) + "\n")
 
 
 def test_read_rows_validates_columns(tmp_path):
@@ -209,21 +219,17 @@ def test_read_rows_validates_columns(tmp_path):
     with pytest.raises(DataError):
         read_rows(p)
     good = tmp_path / "good.csv"
-    good.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(make_row()[c] for c in CSV_COLUMNS) + "\n")
-    rows = read_rows(good)
-    assert rows[0]["gap"] == "7"
-
-
-def _write_rows(path, rows):
-    path.write_text("\n".join([",".join(CSV_COLUMNS), *rows]) + "\n")
+    _write_rows(good, [csv_line(make_row())])
+    assert read_rows(good) == [make_row()]
 
 
 def test_read_rows_accepts_undefined_and_capped_rows(tmp_path):
-    undefined = make_row(gap="", eps_minus="", eps_plus="", capped_minus="", capped_plus="")
-    capped = make_row(gap="9990", capped_plus="True")
+    undefined = make_row(gap=None, eps_minus=None, eps_plus=None, capped_minus=None,
+                         capped_plus=None)
+    capped = make_row(gap=9990, capped_plus=True)
     p = tmp_path / "rows.csv"
-    _write_rows(p, [",".join(r[c] for c in CSV_COLUMNS) for r in (undefined, capped)])
-    assert [r["gap"] for r in read_rows(p)] == ["", "9990"]
+    _write_rows(p, [csv_line(undefined), csv_line(capped)])
+    assert read_rows(p) == [undefined, capped]
 
 
 @pytest.mark.parametrize(
@@ -243,8 +249,8 @@ def test_read_rows_accepts_undefined_and_capped_rows(tmp_path):
     ],
 )
 def test_read_rows_rejects_a_malformed_field_and_names_its_line(tmp_path, field):
-    good = ",".join(make_row()[c] for c in CSV_COLUMNS)
-    bad = ",".join(make_row(**field)[c] for c in CSV_COLUMNS)
+    good = csv_line(make_row())
+    bad = csv_line(make_row(**field))
     p = tmp_path / "rows.csv"
     _write_rows(p, [good, bad])
     with pytest.raises(DataError, match=f"line 3: bad {next(iter(field))} "):
@@ -254,14 +260,14 @@ def test_read_rows_rejects_a_malformed_field_and_names_its_line(tmp_path, field)
 def test_read_rows_rejects_a_partly_empty_gap(tmp_path):
     # report would take eps_plus of a row whose gap is set
     p = tmp_path / "rows.csv"
-    _write_rows(p, [",".join(make_row(eps_plus="")[c] for c in CSV_COLUMNS)])
+    _write_rows(p, [csv_line(make_row(eps_plus=None))])
     with pytest.raises(DataError, match="line 2: eps_minus, eps_plus and gap are partly empty"):
         read_rows(p)
 
 
 @pytest.mark.parametrize("cut", [slice(0, -1), slice(0, 3), slice(None)])
 def test_read_rows_rejects_a_row_of_the_wrong_length(tmp_path, cut):
-    fields = [make_row()[c] for c in CSV_COLUMNS][cut]
+    fields = csv_line(make_row()).split(",")[cut]
     if cut == slice(None):
         fields.append("extra")
     p = tmp_path / "rows.csv"

@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import click
@@ -152,15 +153,16 @@ def gap_fields(net: Network, cfg: RunConfig, image: np.ndarray, ref: int, rmaps)
 
 
 def evaluate_one(net: Network, cfg: RunConfig, idx: int, image: np.ndarray, label: int):
-    """Rows for one image: (image_id, method, stage, eps-, eps+, gap, flags,
-    predicted, true, confidence, loss). Undefined gaps yield empty fields."""
+    """Rows for one image, one per method, as stats.read_rows reads them
+    back: dicts keyed by stats.CSV_COLUMNS, gap fields None where undefined."""
     pred = forward(net, image)
     ref = pred.predicted_class
     j = loss(pred, label)
     maps = list(image_maps(net, cfg, idx, image, ref, cfg.methods, (cfg.stage,)))
     fields = gap_fields(net, cfg, image, ref, [rmap for *_, rmap in maps])
     return [
-        [image_id(idx), method, stage, *f, ref, label, pred.confidence, j]
+        dict(zip(stats_mod.CSV_COLUMNS,
+                 (image_id(idx), method, stage, *f, ref, label, pred.confidence, j)))
         for (method, stage, _, _), f in zip(maps, fields)
     ]
 
@@ -342,12 +344,12 @@ def cmd_evaluate(config_path, **kw):
     cfg, out, net, ds = setup(config_path, kw)
     tasks = [(i, ds.images[i], int(ds.labels[i])) for i in range(len(ds))]
     rows = sorted((row for chunk in run_pool(cfg, net, evaluate_one, tasks) for row in chunk),
-                  key=lambda r: r[:3])  # image, method, stage
-    pred, true = map(stats_mod.CSV_COLUMNS.index, ("predicted_class", "true_class"))
-    correct = [r for r in rows if r[pred] == r[true]]
-    wrong = [r for r in rows if r[pred] != r[true]]
+                  key=itemgetter("image_id", "method", "stage"))
+    correct = [r for r in rows if stats_mod.row_is_correct(r)]
+    wrong = [r for r in rows if not stats_mod.row_is_correct(r)]
     for name, subset in (("per_image", rows), ("correct", correct), ("misclassified", wrong)):
-        write_csv(out / "results" / f"{name}.csv", stats_mod.CSV_COLUMNS, subset)
+        write_csv(out / "results" / f"{name}.csv", stats_mod.CSV_COLUMNS,
+                  map(dict.values, subset))
     click.echo(
         f"evaluated {len(ds)} images x {len(cfg.methods)} methods "
         f"({len(correct)} correct rows, {len(wrong)} misclassified rows) -> "
@@ -445,8 +447,8 @@ def cmd_report(config_path, **kw):
     # Spearman correlations with loss, per subset
     corr_rows = []
     subsets = {
-        "correct": [r for r in rows if r["predicted_class"] == r["true_class"]],
-        "misclassified": [r for r in rows if r["predicted_class"] != r["true_class"]],
+        "correct": [r for r in rows if stats_mod.row_is_correct(r)],
+        "misclassified": [r for r in rows if not stats_mod.row_is_correct(r)],
         "full": rows,
     }
     for subset_name, subset in subsets.items():
@@ -464,10 +466,9 @@ def cmd_report(config_path, **kw):
             conf, lo = zip(*dedup.values())
             res = stats_mod.spearman(conf, lo, seed=cfg.seed)
             corr_rows.append(["confidence", "loss", "", subset_name, *astuple(res)])
-    # the reason a correlation is undefined goes in the "note" column
-    corr_header = [*stats_mod.columns(stats_mod.CorrelationResult)[:-1], "note"]
     write_csv(out / "reports" / "correlation.csv",
-              ["var_x", "var_y", "stage", "subset", *corr_header], corr_rows)
+              ["var_x", "var_y", "stage", "subset",
+               *stats_mod.columns(stats_mod.CorrelationResult)], corr_rows)
     click.echo(f"reports -> {out / 'reports'}")
 
 

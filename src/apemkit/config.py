@@ -10,6 +10,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .explain import METHOD_NAMES
 
 ENV_SEED = "APEMKIT_SEED"
 # upper bound on `workers`: a per-image command starts one process per task,
@@ -51,16 +52,7 @@ class RunConfig:
     epochs: int = 2
     lr: float = 0.05
     # methods
-    methods: list[str] = field(
-        default_factory=lambda: [
-            "gradient",
-            "smoothgrad",
-            "lrp",
-            "guided_backprop",
-            "gradcam",
-            "guided_gradcam",
-        ]
-    )
+    methods: list[str] = field(default_factory=lambda: list(METHOD_NAMES))
     stage: int = 3
     smooth_n: int = 100
     sigma: float = 0.2
@@ -124,11 +116,11 @@ class RunConfig:
                 raise ConfigError(f"{name} must be {bound}, got {value}")
         if self.stage not in (1, 2, 3):
             raise ConfigError(f"stage must be 1, 2 or 3, got {self.stage}")
-        from .explain import METHOD_NAMES
-
         unknown = [m for m in self.methods if m not in METHOD_NAMES]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; known: {list(METHOD_NAMES)}")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods must be distinct and non-empty, got {self.methods}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)

@@ -29,15 +29,6 @@ from .netcore import (
     input_gradient,
 )
 
-METHOD_NAMES = (
-    "gradient",
-    "smoothgrad",
-    "lrp",
-    "guided_backprop",
-    "gradcam",
-    "guided_gradcam",
-)
-
 # noisy SmoothGrad copies per forward/backward call. On 16 desk images, 4, 8
 # and 16 copies took the same time within noise (medians 0.81, 0.79 and
 # 0.79 s over five runs, bit-equal maps), while max RSS grew from 106 MB to
@@ -48,7 +39,6 @@ _SMOOTH_ROWS = 4
 @dataclass(frozen=True)
 class RawAttribution:
     values: np.ndarray  # same shape as the input image
-    method: str
     params: dict = field(default_factory=dict)
 
 
@@ -78,7 +68,7 @@ def gradient_map(net: Network, image: np.ndarray, target: int | None = None) -> 
     """|dJ/dx| interpreted as pixel relevance."""
     image = _check_input(net, image)
     target = _resolve_target(net, image, target)
-    return RawAttribution(np.abs(input_gradient(net, image, target)), "gradient")
+    return RawAttribution(np.abs(input_gradient(net, image, target)))
 
 
 def smoothgrad_map(
@@ -102,11 +92,11 @@ def smoothgrad_map(
         raise InputShapeError("smoothgrad needs sigma >= 0")
     image = _check_input(net, image)
     target = _resolve_target(net, image, target)
+    params = {"n": n, "sigma": sigma, "seed": seed}
     if sigma == 0:
         # the average of n identical gradients is the gradient itself;
         # computing it directly keeps the map bit-equal to gradient_map's
-        values = np.abs(input_gradient(net, image, target))
-        return RawAttribution(values, "smoothgrad", {"n": n, "sigma": sigma, "seed": seed})
+        return RawAttribution(np.abs(input_gradient(net, image, target)), params)
     rng = np.random.default_rng(seed)
     acc = np.zeros_like(image)
     for done in range(0, n, _SMOOTH_ROWS):
@@ -116,7 +106,7 @@ def smoothgrad_map(
         seeds = np.stack([_loss_seed(row, target) for row in logits])
         for g in _backward(net, trace, seeds):
             acc += np.abs(g)
-    return RawAttribution(acc / n, "smoothgrad", {"n": n, "sigma": sigma, "seed": seed})
+    return RawAttribution(acc / n, params)
 
 
 def guided_backprop_map(
@@ -125,11 +115,7 @@ def guided_backprop_map(
     """|guided gradient|: relu layers drop negative backward signals."""
     image = _check_input(net, image)
     target = _resolve_target(net, image, target)
-    return RawAttribution(np.abs(guided_input_gradient(net, image, target)), "guided_backprop")
-
-
-def _stable_sign(z):
-    return np.where(z >= 0, 1.0, -1.0)
+    return RawAttribution(np.abs(guided_input_gradient(net, image, target)))
 
 
 def lrp_epsilon_map(
@@ -147,6 +133,12 @@ def lrp_epsilon_map(
     """
     if epsilon < 0:
         raise InputShapeError("lrp stabilizer epsilon must be >= 0")
+
+    def share(rel, z):
+        # rel / (z + epsilon * sign z) with sign 0 = 1, and 0 where that is 0
+        denom = z + epsilon * np.where(z >= 0, 1.0, -1.0)
+        return np.where(denom == 0, 0.0, rel.reshape(z.shape) / np.where(denom == 0, 1.0, denom))
+
     image = _check_input(net, image)
     logits, trace = _trace_one(net, image)
     target = int(np.argmax(logits)) if target is None else _resolve_target(net, image, target)
@@ -159,30 +151,21 @@ def lrp_epsilon_map(
         layer = net.layers[i]
         a, aux = trace[i]  # the layer's input and its im2col columns or max offsets
         if layer.kind == "dense":
-            a_flat = a.reshape(-1)
-            z = layer.weight * a_flat[None, :]  # (out, in)
-            z_sum = z.sum(axis=1) + layer.bias
-            denom = z_sum + epsilon * _stable_sign(z_sum)
-            factor = np.where(denom == 0, 0.0, rel / np.where(denom == 0, 1.0, denom))
+            z = layer.weight * a.reshape(-1)[None, :]  # (out, in)
+            factor = share(rel, z.sum(axis=1) + layer.bias)
             rel = (z * factor[:, None]).sum(axis=0).reshape(a.shape[1:])
         elif layer.kind == "conv2d":
-            cols = aux[0]
             wmat = layer.weight.reshape(layer.weight.shape[0], -1)
             z_sum = trace[i + 1][0][0].reshape(wmat.shape[0], -1)  # the conv's output (oc, L)
-            denom = z_sum + epsilon * _stable_sign(z_sum)
-            rel_mat = rel.reshape(z_sum.shape)
-            factor = np.where(denom == 0, 0.0, rel_mat / np.where(denom == 0, 1.0, denom))
-            rcols = cols * (wmat.T @ factor)
+            rcols = aux[0] * (wmat.T @ share(rel, z_sum))
             rel = _col2im(layer, rcols[None], a.shape)[0]
         elif layer.kind == "maxpool2d":
             rel = _unpool(layer, rel[None], aux, a.shape)[0]
-        elif layer.kind == "flatten":
+        else:  # flatten; relu is the identity (inactive units hold zero already)
             rel = rel.reshape(a.shape[1:])
-        else:  # relu: identity on active units (inactive ones hold zero already)
-            pass
         layer_sums.append(float(rel.sum()))
 
-    attribution = RawAttribution(rel, "lrp", {"epsilon": epsilon})
+    attribution = RawAttribution(rel, {"epsilon": epsilon})
     if return_layer_sums:
         return attribution, layer_sums
     return attribution
@@ -219,7 +202,7 @@ def gradcam_map(net: Network, image: np.ndarray, target: int | None = None) -> R
     weights = grads.mean(axis=(1, 2))
     cam = np.maximum((weights[:, None, None] * acts).sum(axis=0), 0.0)
     upsampled = bilinear_resize(cam, image.shape[1], image.shape[2])
-    return RawAttribution(np.broadcast_to(upsampled, image.shape).copy(), "gradcam")
+    return RawAttribution(np.broadcast_to(upsampled, image.shape).copy())
 
 
 def guided_gradcam_map(
@@ -230,7 +213,19 @@ def guided_gradcam_map(
     target = _resolve_target(net, image, target)
     guided = guided_backprop_map(net, image, target).values
     cam = gradcam_map(net, image, target).values
-    return RawAttribution(guided * cam, "guided_gradcam")
+    return RawAttribution(guided * cam)
+
+
+# method name -> map function, in the order runs list them by default
+_METHODS = {
+    "gradient": gradient_map,
+    "smoothgrad": smoothgrad_map,
+    "lrp": lrp_epsilon_map,
+    "guided_backprop": guided_backprop_map,
+    "gradcam": gradcam_map,
+    "guided_gradcam": guided_gradcam_map,
+}
+METHOD_NAMES = tuple(_METHODS)
 
 
 def compute_map(
@@ -243,20 +238,12 @@ def compute_map(
     lrp_epsilon: float = 1.0,
     seed: int = 0,
 ) -> RawAttribution:
-    """Dispatch by method name."""
-    if method == "gradient":
-        return gradient_map(net, image, target)
-    if method == "smoothgrad":
-        return smoothgrad_map(net, image, target, n=smooth_n, sigma=sigma, seed=seed)
-    if method == "lrp":
-        return lrp_epsilon_map(net, image, target, epsilon=lrp_epsilon)
-    if method == "guided_backprop":
-        return guided_backprop_map(net, image, target)
-    if method == "gradcam":
-        return gradcam_map(net, image, target)
-    if method == "guided_gradcam":
-        return guided_gradcam_map(net, image, target)
-    raise MethodInapplicableError(f"unknown explanation method {method!r}")
+    """Dispatch by method name; each method takes only its own parameters."""
+    if method not in _METHODS:
+        raise MethodInapplicableError(f"unknown explanation method {method!r}")
+    params = {"smoothgrad": {"n": smooth_n, "sigma": sigma, "seed": seed},
+              "lrp": {"epsilon": lrp_epsilon}}.get(method, {})
+    return _METHODS[method](net, image, target, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class CorrelationResult:
     rho: float | None
     p_value: float | None
     n: int
-    reason: str | None = None
+    note: str | None = None  # why rho is undefined
 
 
 # the parser of each typed column; each raises ValueError on a malformed field
@@ -73,7 +73,7 @@ def read_rows(path) -> list[dict]:
     missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or [])]
     if missing:
         raise DataError(f"{path}: rows missing columns {missing}")
-    rows = []
+    rows, seen = [], set()
     for row in reader:
         where = f"{path}, line {reader.line_num}"
         if None in row or None in row.values():
@@ -85,6 +85,10 @@ def read_rows(path) -> list[dict]:
                 raise DataError(f"{where}: bad {column} {row[column]!r}") from None
         if len({row[c] is None for c in ("eps_minus", "eps_plus", "gap")}) > 1:
             raise DataError(f"{where}: eps_minus, eps_plus and gap are partly empty")
+        key = (row["image_id"], row["method"], row["stage"])
+        if key in seen:
+            raise DataError(f"{where}: repeated row for image, method and stage {key}")
+        seen.add(key)
         rows.append(row)
     return rows
 
@@ -102,6 +106,11 @@ def row_is_measured(row: dict) -> bool:
     return row_is_defined(row) and not row_is_capped(row)
 
 
+def row_is_correct(row: dict) -> bool:
+    """The model predicted the image's true class."""
+    return row["predicted_class"] == row["true_class"]
+
+
 def summarize(rows, split_by_correct: bool = False) -> list[MethodSummary]:
     """Per (method, stage) statistics; optionally split correct/misclassified
     into separate summaries keyed by a method suffix."""
@@ -109,8 +118,7 @@ def summarize(rows, split_by_correct: bool = False) -> list[MethodSummary]:
     for row in rows:
         method = row["method"]
         if split_by_correct:
-            correct = row["predicted_class"] == row["true_class"]
-            method += "/correct" if correct else "/misclassified"
+            method += "/correct" if row_is_correct(row) else "/misclassified"
         groups.setdefault((method, row["stage"]), []).append(row)
 
     out = []
@@ -188,7 +196,7 @@ def spearman(
     sy = ry.std()
     if sx == 0 or sy == 0:
         which = "x" if sx == 0 else "y"
-        return CorrelationResult(None, None, n, reason=f"zero rank variance in {which}")
+        return CorrelationResult(None, None, n, note=f"zero rank variance in {which}")
     if len(np.unique(x)) == n and len(np.unique(y)) == n:
         # tie-free: the classical formula over integer rank differences is
         # exact, so perfectly (anti)monotone data yields rho of exactly +/-1

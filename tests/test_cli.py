@@ -4,6 +4,7 @@ import csv
 import gzip
 import json
 import os
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -76,6 +77,20 @@ def test_evaluate_writes_contract_csvs(tiny_run):
     for r in rows:
         if r["gap"] is not None:
             assert r["gap"] == r["eps_plus"] - r["eps_minus"]
+
+
+def test_per_image_csv_reads_back_as_the_rows_evaluate_one_returned(tiny_run, monkeypatch):
+    evaluate_one, returned = cli.evaluate_one, []
+
+    def recording(*args):
+        rows = evaluate_one(*args)
+        returned.extend(rows)
+        return rows
+
+    monkeypatch.setattr(cli, "evaluate_one", recording)
+    assert main(["evaluate", *_args(tiny_run)]) == 0
+    returned.sort(key=itemgetter("image_id", "method", "stage"))
+    assert read_rows(os.path.join(tiny_run, "results", "per_image.csv")) == returned
 
 
 def test_report_builds_summary_and_correlation_tables(tiny_run):
@@ -157,6 +172,8 @@ def test_exit_code_2_on_config_errors(tmp_path):
         ["explain", "--sigma", "nan"],
         ["explain", "--lrp-epsilon", "inf"],
         ["filter", "--batch-fraction", "nan"],
+        ["evaluate", "--methods", "gradient,gradient"],
+        ["evaluate", "--methods", ""],
     ],
 )
 def test_exit_code_2_on_out_of_range_values(tmp_path, argv):
@@ -228,7 +245,10 @@ def test_exit_code_3_on_malformed_per_image_csv(tmp_path):
     for bad_row in (b"img00000,gradient,x,10,30,20,False,False,1,1,0.9,0.1",
                     b"img00000,gradient,3,10,30,abc,False,False,1,1,0.9,0.1",
                     b"img00000,gradient,3,10,30",
-                    b"img00000,gr\xe4dient,3,10,30,20,False,False,1,1,0.9,0.1"):
+                    b"img00000,gr\xe4dient,3,10,30,20,False,False,1,1,0.9,0.1",
+                    # a repeated (image_id, method, stage) key
+                    b"img00000,gradient,3,10,30,20,False,False,1,1,0.9,0.1\n"
+                    b"img00000,gradient,3,10,30,20,False,False,1,1,0.9,0.1"):
         (results / "per_image.csv").write_bytes(f"{header}\n".encode() + bad_row + b"\n")
         assert main(["report", "--out", str(tmp_path)]) == 3
 

@@ -68,6 +68,8 @@ def test_missing_config_file_is_a_config_error(tmp_path):
         {"batch_fraction": float("nan")},
         {"step": float("-inf")},
         {"seed": -1},
+        {"methods": []},
+        {"methods": ["lrp", "lrp"]},
     ],
 )
 def test_invalid_values_are_rejected(kw):

@@ -230,7 +230,7 @@ def test_rescale_unit_affine_and_constant_cases():
 
 def test_simplify_stages_compose_and_land_in_unit_interval():
     rng = np.random.default_rng(12)
-    raw = RawAttribution(rng.uniform(0, 5, (1, 28, 28)), "gradient")
+    raw = RawAttribution(rng.uniform(0, 5, (1, 28, 28)))
     image = rng.uniform(0, 1, (1, 28, 28))
     for stage in (1, 2, 3):
         rmap = simplify(raw, image, stage=stage)
@@ -246,10 +246,10 @@ def test_simplify_stages_compose_and_land_in_unit_interval():
 
 
 def test_simplify_rejects_bad_stage_and_nonfinite_values():
-    raw = RawAttribution(np.ones((1, 4, 4)), "gradient")
+    raw = RawAttribution(np.ones((1, 4, 4)))
     image = np.ones((1, 4, 4))
     with pytest.raises(InputShapeError):
         simplify(raw, image, stage=4)
-    bad = RawAttribution(np.full((1, 4, 4), np.nan), "gradient")
+    bad = RawAttribution(np.full((1, 4, 4), np.nan))
     with pytest.raises(InputShapeError):
         simplify(bad, image, stage=1)

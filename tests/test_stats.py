@@ -13,6 +13,7 @@ from apemkit.stats import (
     epsilon_plus_diff,
     pairwise,
     read_rows,
+    row_is_correct,
     row_is_defined,
     row_is_measured,
     spearman,
@@ -98,7 +99,7 @@ def test_spearman_permutation_p_is_seeded_and_significant_for_strong_trends():
 
 def test_spearman_handles_constant_input_and_short_samples():
     r = spearman(np.ones(10), np.arange(10.0), n_permutations=10)
-    assert r.rho is None and "zero rank variance" in r.reason
+    assert r.rho is None and "zero rank variance" in r.note
     with pytest.raises(DataError):
         spearman([1.0, 2.0], [2.0, 1.0])
 
@@ -207,6 +208,8 @@ def test_row_predicates():
     assert row_is_measured(make_row())
     assert not row_is_defined(make_row(gap=None))
     assert not row_is_measured(make_row(capped_minus=True))
+    assert row_is_correct(make_row())
+    assert not row_is_correct(make_row(predicted_class=2))
 
 
 def _write_rows(path, rows):
@@ -226,7 +229,7 @@ def test_read_rows_validates_columns(tmp_path):
 def test_read_rows_accepts_undefined_and_capped_rows(tmp_path):
     undefined = make_row(gap=None, eps_minus=None, eps_plus=None, capped_minus=None,
                          capped_plus=None)
-    capped = make_row(gap=9990, capped_plus=True)
+    capped = make_row(image_id="img1", gap=9990, capped_plus=True)
     p = tmp_path / "rows.csv"
     _write_rows(p, [csv_line(undefined), csv_line(capped)])
     assert read_rows(p) == [undefined, capped]
@@ -262,6 +265,15 @@ def test_read_rows_rejects_a_partly_empty_gap(tmp_path):
     p = tmp_path / "rows.csv"
     _write_rows(p, [csv_line(make_row(eps_plus=None))])
     with pytest.raises(DataError, match="line 2: eps_minus, eps_plus and gap are partly empty"):
+        read_rows(p)
+
+
+def test_read_rows_rejects_a_repeated_row_and_names_its_line(tmp_path):
+    # summarize would count the row twice; pairwise would keep one copy
+    p = tmp_path / "rows.csv"
+    _write_rows(p, [csv_line(make_row()), csv_line(make_row(stage=1)),
+                    csv_line(make_row(gap=8, eps_plus=11))])
+    with pytest.raises(DataError, match="line 4: repeated row"):
         read_rows(p)
 
 

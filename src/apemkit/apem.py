@@ -18,6 +18,7 @@ from .explain import RelevanceMap
 from .netcore import (
     Network,
     _check_input,
+    certify_boxes,
     forward,
     forward_logits_batch,
     input_gradient,
@@ -58,29 +59,14 @@ def direct(r_norm: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return r_norm * np.sign(grad)
 
 
-def _margin_slope_net(net: Network, reference_class: int) -> Network:
-    """Net whose logits bound how fast each margin logit_ref - logit_c moves.
-
-    Every affine layer takes |W| and a zero bias; the last one takes rows
-    |W[ref] - W[c]|. Fed |r_dir| * step, it returns per-class bounds L_c on
-    the change of the margin per step along the ray, whatever the activation
-    pattern, because relu, max-pool and clipping are 1-Lipschitz.
-    """
-    layers = []
-    last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
-        if layer.affine:
-            w = layer.weight
-            w = np.abs(w[reference_class] - w) if i == last else np.abs(w)
-            layer = type(layer)(w, np.zeros(w.shape[0]), **layer.hyperparameters())
-        layers.append(layer)
-    return Network(layers, net.input_shape)
-
-
-# Each round evaluates a block of _BLOCK rows per ray, or 1 row after a skip;
-# the rows of all rays are sliced into forward calls of at most _CALL_ROWS
-# rows, because a row costs least in calls of 8-16 rows.
+# The search's schedule (see find_epsilon): segments of _FIRST_SEGMENT steps,
+# doubled on success up to _MAX_SEGMENT and halved on failure, and an exact
+# block of _BLOCK rows after a failed segment of at most _HALVE_ABOVE steps.
+# Forward calls take at most _CALL_ROWS rows (a row costs least in calls of
+# 8-16 rows); certificate calls at most _CALL_SEGMENTS segments, whose 2 * 4
+# stacked bounds keep the call's temporaries below a 16-row forward's.
 _BLOCK, _CALL_ROWS = 4, 16
+_FIRST_SEGMENT, _MAX_SEGMENT, _HALVE_ABOVE, _CALL_SEGMENTS = 4, 1024, 8, 4
 
 
 def _check_search(net: Network, image, reference_class: int, step: float, cap: int):
@@ -90,11 +76,26 @@ def _check_search(net: Network, image, reference_class: int, step: float, cap: i
     if cap < 1:
         raise InputShapeError("cap must be >= 1")
     image = _check_input(net, image)
+    if not np.all(np.isfinite(image)):
+        raise InputShapeError("search needs an image with finite pixel values")
     if forward(net, image).predicted_class != reference_class:
         raise InputShapeError(
             f"reference class {reference_class} is not the prediction at the original image"
         )
     return image
+
+
+def _check_ray(r_dir: np.ndarray, image: np.ndarray) -> None:
+    if r_dir.shape != image.shape:
+        raise InputShapeError(f"directed map shape {r_dir.shape} != image shape {image.shape}")
+    if not np.all(np.isfinite(r_dir)):
+        raise InputShapeError("search needs a directed map with finite values")
+
+
+def _points(image: np.ndarray, rays: np.ndarray, ks: np.ndarray, step: float, clip: bool):
+    """image + rays[i] * (ks[i] * step) for every i, clipped to [0, 1] with clip."""
+    xs = image + rays * (ks * step).reshape((-1,) + (1,) * image.ndim)
+    return np.clip(xs, 0.0, 1.0) if clip else xs
 
 
 def _sliced_logits(net: Network, xs: np.ndarray) -> np.ndarray:
@@ -103,46 +104,64 @@ def _sliced_logits(net: Network, xs: np.ndarray) -> np.ndarray:
                            for i in range(0, len(xs), _CALL_ROWS)])
 
 
+def _certified(net: Network, image: np.ndarray, reference_class: int, rays: np.ndarray,
+               firsts: np.ndarray, lasts: np.ndarray, step: float, clip: bool) -> np.ndarray:
+    """Flags: True where no k in [firsts[i], lasts[i]] flips the prediction
+    along rays[i], in certificate calls of at most _CALL_SEGMENTS segments.
+
+    The box between the end points holds every point of the segment exactly,
+    because float +, * and clip are monotone in k.
+    """
+    ends = (_points(image, rays, firsts, step, clip), _points(image, rays, lasts, step, clip))
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    return np.concatenate([
+        certify_boxes(net, lo[i:i + _CALL_SEGMENTS], hi[i:i + _CALL_SEGMENTS], reference_class)
+        for i in range(0, len(lo), _CALL_SEGMENTS)])
+
+
 def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[np.ndarray],
             step: float, cap: int, clip: bool) -> list[tuple[int, bool]]:
     """find_epsilon's (k, capped) for every ray in r_dirs, searched in lockstep.
 
-    Each ray keeps its own start, block size and certificate. Each round
-    stacks the next block of every live ray into one row array, sliced into
-    forward calls. A row's logits do not depend on its batch, so every ray
-    evaluates exactly the rows it would evaluate alone.
+    Each ray keeps its own start and schedule. Each round stacks the exact
+    blocks of all live rays into one row array, sliced into forward calls,
+    and their segments into one batch, sliced into certificate calls. A
+    row's logits and a segment's flag do not depend on their batch, so every
+    ray evaluates exactly the rows and segments it would evaluate alone.
     """
     if not r_dirs:
         return []
     rays = np.stack(r_dirs)
-    others = np.arange(net.num_classes) != reference_class
-    slopes = _sliced_logits(_margin_slope_net(net, reference_class), np.abs(rays) * step)[:, others]
     found = [(cap, True)] * len(rays)
-    live = {i: (1, _BLOCK) for i in range(len(rays))}  # ray: (start, block)
+    # ray: (start, steps of its next segment, or 0 for an exact block)
+    live = {i: (1, _FIRST_SEGMENT) for i in range(len(rays))}
     while live:
-        blocks = {i: np.arange(start, min(start + block - 1, cap) + 1)
-                  for i, (start, block) in live.items()}
-        ray_of_row = np.repeat(list(blocks), [len(ks) for ks in blocks.values()])
-        k_steps = np.concatenate(list(blocks.values())) * step
-        xs = image + rays[ray_of_row] * k_steps.reshape((-1,) + (1,) * image.ndim)
-        logits = _sliced_logits(net, np.clip(xs, 0.0, 1.0) if clip else xs)
+        blocks = {i: np.arange(start, min(start + _BLOCK - 1, cap) + 1)
+                  for i, (start, steps) in live.items() if not steps}
+        segments = {i: (start, min(start + steps - 1, cap))
+                    for i, (start, steps) in live.items() if steps}
         next_live = {}
-        for i, ks in blocks.items():
-            z, logits = logits[:len(ks)], logits[len(ks):]
-            flips = np.argmax(z, axis=1) != reference_class
-            if flips.any():
-                found[i] = int(ks[np.argmax(flips)]), False
-                continue
-            guard = 1e-6 * (1.0 + np.abs(z).max())
-            room = (z[:, [reference_class]] - z)[:, others] - 2.0 * guard
-            with np.errstate(divide="ignore", invalid="ignore"):
-                reach = np.where(room > 0, room / slopes[i], 0.0)  # room > 0, L_c = 0: inf
-            uncertified = np.ceil(np.max(ks + reach.min(axis=1, initial=np.inf)))
-            next_start = max(ks[-1] + 1, uncertified)
-            if next_start <= cap:
-                # after a skip, one row's certificate mostly reaches past what
-                # a block would cover
-                next_live[i] = int(next_start), 1 if uncertified > ks[-1] + 1 else _BLOCK
+        if blocks:
+            ray_of_row = np.repeat(list(blocks), [len(block) for block in blocks.values()])
+            ks = np.concatenate(list(blocks.values()))
+            logits = _sliced_logits(net, _points(image, rays[ray_of_row], ks, step, clip))
+            for i, block in blocks.items():
+                z, logits = logits[:len(block)], logits[len(block):]
+                flips = np.argmax(z, axis=1) != reference_class
+                if flips.any():
+                    found[i] = int(block[np.argmax(flips)]), False
+                elif block[-1] < cap:
+                    next_live[i] = int(block[-1]) + 1, _FIRST_SEGMENT
+        if segments:
+            firsts, lasts = np.array(list(segments.values())).T
+            certified = _certified(net, image, reference_class, rays[list(segments)],
+                                   firsts, lasts, step, clip)
+            for (i, (first, last)), ok in zip(segments.items(), certified):
+                steps = last - first + 1
+                if not ok:
+                    next_live[i] = first, steps // 2 if steps > _HALVE_ABOVE else 0
+                elif last < cap:
+                    next_live[i] = last + 1, min(2 * steps, _MAX_SEGMENT)
         live = next_live
     return found
 
@@ -159,27 +178,33 @@ def find_epsilon(
     """Smallest k in [1, cap] whose perturbation flips the prediction.
 
     Perturbed image is image + r_dir * (k * step), clipped to [0, 1] with
-    clip. Scans k upward in batch-evaluated blocks and returns the first
-    flipping k, so the result equals an exhaustive linear scan even when
-    the flip predicate is non-monotone along the ray (transient flip
-    pockets do occur). Returns (cap, True) if no k in [1, cap] flips.
+    clip. Scans k upward in certified segments and exact blocks of 4 rows
+    and returns the first flipping k, so the result equals an exhaustive
+    linear scan even when the flip predicate is non-monotone along the ray
+    (transient flip pockets do occur). Returns (cap, True) if no k in
+    [1, cap] flips.
 
-    Steps that cannot flip are skipped. One pass through _margin_slope_net
-    gives L_c, a bound on how much logit_ref - logit_c changes per step.
-    An evaluated k_i with margins m_ic then certifies every
-    k < k_i + min_c (m_ic - 2g) / L_c, where the guard
-    g = 1e-6 * (1 + max|logits|) over k_i's block dwarfs float64 rounding
-    in the logits. The next block starts at the first k no evaluated row
-    certifies; past cap, the search returns (cap, True). A block is 4 rows,
-    or 1 row after a skip.
+    Steps that cannot flip are skipped by certifying whole segments
+    [a, e] of k. The points of a segment lie in the box between its end
+    points image + r_dir * (a * step) and image + r_dir * (e * step),
+    clipped with clip, exactly, because float +, * and clip are monotone in
+    k. One interval-bound pass (netcore.certify_boxes) certifies the box
+    when every margin logit_ref - logit_c has a lower bound above 2 * g,
+    where the guard g = 1e-6 * (1 + max|logit| in the box) dwarfs float64
+    rounding in the logits, so no k in the segment flips. The first segment
+    has 4 steps; a certified segment doubles the next, up to 1024 steps. A
+    failed segment is halved, or, at 8 steps or fewer, its first 4 steps are
+    evaluated exactly, and the next segment has 4 steps again. Past cap, the
+    search returns (cap, True).
 
     This is the one-ray case of the lockstep search that gaps() runs over
     all the rays of an image, whose rows are sliced into forward calls of
-    at most 16 rows; both give each ray the same rows and the same result.
+    at most 16 rows and its segments into certificate calls of at most 4;
+    both give each ray the same rows, segments and result. Raises
+    InputShapeError on a non-finite image or ray.
     """
     image = _check_search(net, image, reference_class, step, cap)
-    if r_dir.shape != image.shape:
-        raise InputShapeError(f"directed map shape {r_dir.shape} != image shape {image.shape}")
+    _check_ray(r_dir, image)
     return _search(net, image, reference_class, [r_dir], step, cap, clip)[0]
 
 
@@ -196,6 +221,7 @@ def find_epsilon_scan(
     reference for find_epsilon's blocks and skips, on the same evaluator.
     O(cap) forward passes, use only at small caps."""
     image = _check_search(net, image, reference_class, step, cap)
+    _check_ray(r_dir, image)
     for k in range(1, cap + 1):
         x = image + r_dir * (k * step)
         if clip:

@@ -3,9 +3,10 @@
 Five layer kinds (dense, conv2d, relu, maxpool2d, flatten), which hold only
 their parameters, and one batched float64 forward/backward over (B, ...)
 arrays that every function here runs on, single images at B=1: predictions,
-exact input gradients, LRP's activations and a plain SGD trainer. A row's
-result does not depend on the batch it is in. Only the SGD step mutates
-layers, so concurrent reads are safe.
+exact input gradients, LRP's activations, the interval bounds of the epsilon
+search's segment certificate and a plain SGD trainer. A row's result does
+not depend on the batch it is in. Only the SGD step mutates layers, so
+concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -257,39 +258,44 @@ def _unpool(layer: MaxPool2D, dy: np.ndarray, idx: np.ndarray, x_shape) -> np.nd
     return dx
 
 
+def _layer_forward(layer: Layer, x: np.ndarray, route: bool = False):
+    """Output of one layer for the batch x, and with route the aux _backward
+    needs: a conv's im2col columns or a max-pool's first-maximum offsets."""
+    b = x.shape[0]
+    aux = None
+    if layer.kind == "dense":
+        # one matrix-vector product per row: a row's logits are bit-equal
+        # at any batch size, which one matrix-matrix product would not give
+        y = np.matmul(layer.weight, x.reshape(b, -1, 1))[..., 0] + layer.bias
+    elif layer.kind == "conv2d":
+        cols, (oh, ow) = _im2col(layer, x)
+        wmat = layer.weight.reshape(layer.weight.shape[0], -1)
+        y = (np.matmul(wmat, cols) + layer.bias[:, None]).reshape(b, -1, oh, ow)
+        aux = cols if route else None
+    elif layer.kind == "relu":
+        y = np.maximum(x, 0.0)
+    elif layer.kind == "maxpool2d":
+        views = _pool_slices(layer, x)
+        y = next(views)
+        aux = np.zeros(y.shape, dtype=np.intp) if route else None
+        for t, view in enumerate(views, 1):
+            if route:
+                aux[view > y] = t  # strict: a tie keeps the first maximum
+            y = np.maximum(y, view)
+    else:  # flatten
+        y = x.reshape(b, -1)
+    return y, aux
+
+
 def _forward(net: Network, x: np.ndarray, start: int = 0, trace: list | None = None):
     """Logits (B, n_classes) of the batch x entering layer `start`.
 
-    With a list for trace, appends (input, aux) per layer, where aux holds a
-    conv's im2col columns or a max-pool's first-maximum offsets: all that
-    _backward needs. Without one, no activation outlives its next layer.
+    With a list for trace, appends (input, aux) per layer, where aux is all
+    that _backward needs. Without one, no activation outlives its next layer.
     """
-    b = x.shape[0]
-    route = trace is not None
     for layer in net.layers[start:]:
-        aux = None
-        if layer.kind == "dense":
-            # one matrix-vector product per row: a row's logits are bit-equal
-            # at any batch size, which one matrix-matrix product would not give
-            y = np.matmul(layer.weight, x.reshape(b, -1, 1))[..., 0] + layer.bias
-        elif layer.kind == "conv2d":
-            cols, (oh, ow) = _im2col(layer, x)
-            wmat = layer.weight.reshape(layer.weight.shape[0], -1)
-            y = (np.matmul(wmat, cols) + layer.bias[:, None]).reshape(b, -1, oh, ow)
-            aux = cols if route else None
-        elif layer.kind == "relu":
-            y = np.maximum(x, 0.0)
-        elif layer.kind == "maxpool2d":
-            views = _pool_slices(layer, x)
-            y = next(views)
-            aux = np.zeros(y.shape, dtype=np.intp) if route else None
-            for t, view in enumerate(views, 1):
-                if route:
-                    aux[view > y] = t  # strict: a tie keeps the first maximum
-                y = np.maximum(y, view)
-        else:  # flatten
-            y = x.reshape(b, -1)
-        if route:
+        y, aux = _layer_forward(layer, x, trace is not None)
+        if trace is not None:
             trace.append((x, aux))
         x = y
     return x
@@ -362,6 +368,56 @@ def forward_logits_batch(net: Network, images: np.ndarray, start: int = 0) -> np
     if start == 0 and x.shape[1:] != net.input_shape:
         raise InputShapeError(f"batch shape {x.shape[1:]} != input shape {net.input_shape}")
     return _forward(net, x, start)
+
+
+def certify_boxes(net: Network, lo: np.ndarray, hi: np.ndarray,
+                  reference_class: int) -> np.ndarray:
+    """Flags (B,): True where no point of the box [lo[i], hi[i]] can move
+    forward's prediction away from reference_class.
+
+    Interval bound propagation (Gowal et al., 2018) over the stacked bounds
+    [lo; hi]. An affine layer takes the centre through W plus the bias and
+    the radius through |W|, stacked as 2B rows in one call; relu and
+    max-pool are monotone, so they map the bounds. The last layer bounds
+    each margin logit_ref - logit_c directly, with rows W[ref] - W[c] on the
+    centre and |W[ref] - W[c]| on the radius, which is tighter than bounding
+    the two logits apart. A box is certified when every margin's lower bound
+    exceeds 2 * guard, where guard = 1e-6 * (1 + max_c |centre logit_c| +
+    radius logit_c) bounds every logit in the box and dwarfs float64
+    rounding, so the flag also holds for the logits forward computes. A
+    row's flag does not depend on its batch.
+    """
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    if lo.shape != hi.shape or lo.shape[1:] != net.input_shape:
+        raise InputShapeError(f"box bounds {lo.shape}, {hi.shape} do not match "
+                              f"input shape {net.input_shape}")
+    b, bounds = len(lo), np.concatenate([lo, hi])
+    last = len(net.layers) - 1
+    for i, layer in enumerate(net.layers):
+        if not layer.affine:
+            bounds, _ = _layer_forward(layer, bounds)
+            continue
+        w, bias = layer.weight, layer.bias
+        if i == last:  # the logits, then the margins logit_ref - logit_c
+            w = np.concatenate([w, w[reference_class] - w])
+            bias = np.concatenate([bias, bias[reference_class] - bias])
+        centre_radius = np.concatenate([bounds[:b] + bounds[b:], bounds[b:] - bounds[:b]]) / 2
+        if layer.kind == "conv2d":
+            cols, _ = _im2col(layer, centre_radius)
+            w = w.reshape(w.shape[0], -1)
+        else:
+            cols = centre_radius.reshape(2 * b, -1, 1)
+        centre = np.matmul(w, cols[:b]) + bias[:, None]
+        radius = np.matmul(np.abs(w), cols[b:])
+        if i < last:
+            shape = (b,) + layer.output_shape(bounds.shape[1:])
+            bounds = np.concatenate([(centre - radius).reshape(shape),
+                                     (centre + radius).reshape(shape)])
+    n = net.num_classes
+    centre, radius = centre[..., 0], radius[..., 0]
+    guard = 1e-6 * (1.0 + (np.abs(centre[:, :n]) + radius[:, :n]).max(axis=1))
+    margins = (centre[:, n:] - radius[:, n:])[:, np.arange(n) != reference_class]
+    return np.all(margins > 2.0 * guard[:, None], axis=1)
 
 
 def loss(pred: Prediction, label: int) -> float:

@@ -24,7 +24,7 @@ from apemkit.errors import InputShapeError, ZeroMapError
 from apemkit.explain import METHOD_NAMES, RelevanceMap, compute_map, simplify
 from apemkit.netcore import Dense, Network, ReLU, forward, input_gradient
 
-from conftest import random_net
+from conftest import random_dense_net, random_net
 
 apem_module = importlib.import_module("apemkit.apem")  # the package also exports a function `apem`
 
@@ -188,72 +188,110 @@ def test_find_epsilon_matches_exhaustive_scan_on_desk_rays(desk_model, desk_test
     assert sum(k > 1000 and not capped for k, capped in results) >= 3
 
 
-def _count_rows(monkeypatch):
-    rows = []
-    batch = apem_module.forward_logits_batch
+def _spy_engine(monkeypatch):
+    """Records the search's two engine entries, in call order: each forward
+    call's rows, and each certificate call's (lo, hi, flags)."""
+    rows, boxes = [], []
+    batch, certify = apem_module.forward_logits_batch, apem_module.certify_boxes
 
-    def spy(net_, xs, start=0):
-        rows.append(len(xs))
+    def batch_spy(net_, xs, start=0):
+        rows.append(xs.copy())
         return batch(net_, xs, start)
 
-    monkeypatch.setattr(apem_module, "forward_logits_batch", spy)
-    return rows
+    def certify_spy(net_, lo, hi, ref):
+        flags = certify(net_, lo, hi, ref)
+        boxes.append((lo.copy(), hi.copy(), flags))
+        return flags
+
+    monkeypatch.setattr(apem_module, "forward_logits_batch", batch_spy)
+    monkeypatch.setattr(apem_module, "certify_boxes", certify_spy)
+    return rows, boxes
+
+
+def _work(rows, boxes):
+    """Exact rows plus segment passes."""
+    return sum(map(len, rows)) + sum(len(lo) for lo, _, _ in boxes)
 
 
 def test_find_epsilon_zero_ray_returns_after_one_block(monkeypatch, desk_model, desk_test_set):
     image = desk_test_set.images[0]
     ref = forward(desk_model, image).predicted_class
-    rows = _count_rows(monkeypatch)
+    rows, boxes = _spy_engine(monkeypatch)
     result = find_epsilon(desk_model, image, ref, np.zeros_like(image), cap=2500)
     assert result == (2500, True)
-    assert sum(rows) <= 1 + apem_module._BLOCK  # the slope-bound pass plus one block
+    # every segment's box is the image itself, so each one certifies and the
+    # next doubles: 4 + 8 + ... + 1024 steps in 9 passes, then the rest in one
+    assert rows == [] and _work(rows, boxes) == 10
 
 
 def test_find_epsilon_skips_most_of_a_capped_desk_ray(monkeypatch, desk_model, desk_test_set):
     cap = 2500
     image = desk_test_set.images[2]
     ref, r_dir = _desk_ray(desk_model, image, "lrp", "rel")
-    rows = _count_rows(monkeypatch)
+    rows, boxes = _spy_engine(monkeypatch)
     assert find_epsilon(desk_model, image, ref, r_dir, cap=cap) == (cap, True)
-    assert sum(rows) < 0.05 * cap
+    assert _work(rows, boxes) < 0.05 * cap
 
 
-# (image, method, ray, cap): a ray that flips after rounds that skip and
-# rounds that do not, and a capped ray whose last block is cut at the cap
+def _ks(values, image, r_dir, p):
+    """The k of each perturbed image, read back from the pixel p the ray moves most."""
+    return [int(k) for k in np.rint((values.reshape(len(values), -1)[:, p] - image.ravel()[p])
+                                    / r_dir.ravel()[p])]
+
+
+# (image, method, ray, cap): a ray that flips after certified and failed
+# segments and exact blocks, and the hard capped ray whose segments keep
+# failing, at a cap that cuts its last segment or block
 @pytest.mark.parametrize("idx, method, ray, cap", [(0, "gradient", "irr", 2500),
                                                   (71, "gradient", "rel", 2498)])
-def test_find_epsilon_blocks_are_fixed_and_one_row_after_a_skip(monkeypatch, desk_model,
-                                                                desk_test_set, idx, method,
-                                                                ray, cap):
+def test_find_epsilon_follows_the_segment_schedule(monkeypatch, desk_model, desk_test_set,
+                                                   idx, method, ray, cap):
     image = desk_test_set.images[idx]
     ref, r_dir = _desk_ray(desk_model, image, method, ray)
-    calls = []
-    batch = apem_module.forward_logits_batch
+    events = []  # in call order: ("segment", first, last, certified) or ("block", ks)
+    batch, certify = apem_module.forward_logits_batch, apem_module.certify_boxes
+    p = int(np.argmax(np.abs(r_dir)))
 
-    def spy(net_, xs, start=0):
-        calls.append(xs.copy())
+    def batch_spy(net_, xs, start=0):
+        events.append(("block", _ks(xs, image, r_dir, p)))
         return batch(net_, xs, start)
 
-    monkeypatch.setattr(apem_module, "forward_logits_batch", spy)
+    def certify_spy(net_, lo, hi, ref_):
+        flags = certify(net_, lo, hi, ref_)
+        assert len(lo) == 1  # one ray: one segment per call
+        events.append(("segment", *sorted(_ks(np.concatenate([lo, hi]), image, r_dir, p)),
+                       bool(flags[0])))
+        return flags
+
+    monkeypatch.setattr(apem_module, "forward_logits_batch", batch_spy)
+    monkeypatch.setattr(apem_module, "certify_boxes", certify_spy)
     k, capped = find_epsilon(desk_model, image, ref, r_dir, cap=cap)
-    # one ray: the slope pass, then one call per round; each row's k read back
-    # from the pixel the ray moves most
-    p = np.argmax(np.abs(r_dir))
-    rounds = [np.rint((xs.reshape(len(xs), -1)[:, p] - image.ravel()[p]) / r_dir.ravel()[p])
-              for xs in calls[1:]]
-    assert len(calls[0]) == 1
-    assert list(rounds[0]) == list(range(1, apem_module._BLOCK + 1))
-    skips = 0
-    for before, ks in zip(rounds, rounds[1:]):
-        skipped = ks[0] > before[-1] + 1
-        skips += skipped
-        rows = 1 if skipped else apem_module._BLOCK
-        assert list(ks) == list(range(int(ks[0]), int(min(ks[0] + rows - 1, cap)) + 1))
+
+    def segment(first, steps):
+        return first, min(first + steps - 1, cap)
+
+    assert events[0][:3] == ("segment", *segment(1, apem_module._FIRST_SEGMENT))
+    for before, event in zip(events, events[1:]):
+        if before[0] == "block":  # no flip in it: the next segment starts over
+            assert event[:3] == ("segment", *segment(before[1][-1] + 1,
+                                                     apem_module._FIRST_SEGMENT))
+            continue
+        _, first, last, certified = before
+        steps = last - first + 1
+        if certified:
+            assert event[:3] == ("segment", *segment(last + 1,
+                                                     min(2 * steps, apem_module._MAX_SEGMENT)))
+        elif steps > apem_module._HALVE_ABOVE:
+            assert event[:3] == ("segment", *segment(first, steps // 2))
+        else:
+            assert event == ("block", list(range(first, min(first + apem_module._BLOCK, cap + 1))))
+    kinds = [(e[0], e[-1]) if e[0] == "segment" else e[:1] for e in events]
     if idx == 0:
-        assert not capped and k in rounds[-1] and 0 < skips < len(rounds) - 1
-    else:  # no round skips, so the last block is cut at the cap
-        assert capped and skips == 0
-        assert rounds[-1][-1] == cap and len(rounds[-1]) == cap % apem_module._BLOCK
+        assert not capped and events[-1][0] == "block" and k in events[-1][1]
+        assert {("segment", True), ("segment", False), ("block",)} <= set(kinds)
+    else:  # the cap cuts the last segment or block
+        assert capped and max(events[-1][1:3] if events[-1][0] == "segment"
+                              else events[-1][1]) == cap
 
 
 def _tie_net(signs, thresholds, out_weight, out_bias):
@@ -300,6 +338,37 @@ def test_find_epsilon_matches_scan_on_exact_ties_and_pockets(case):
     cap = 150
     fast = find_epsilon(net, image, ref, r_dir, step, cap, clip)
     assert fast == find_epsilon_scan(net, image, ref, r_dir, step, cap, clip)
+
+
+@st.composite
+def _segment_cases(draw):
+    dense = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+    scale = draw(st.sampled_from([1e-3, 1e-2, 5e-2]))
+    first = draw(st.integers(1, 60))
+    last = first + draw(st.integers(0, 60))
+    step = draw(st.sampled_from([0.5, 1.0]))
+    clip = draw(st.booleans())
+    return dense, seed, scale, first, last, step, clip
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segment_cases())
+# certifies when the certificate drops the radius term, though k = 31 flips
+@example((False, 15, 0.05, 1, 31, 1.0, False))
+def test_a_certified_segment_holds_no_flip(case):
+    dense, seed, scale, first, last, step, clip = case
+    net = random_dense_net(seed) if dense else random_net(seed)
+    rng = np.random.default_rng(seed)
+    image = rng.uniform(0, 1, net.input_shape)
+    r_dir = rng.normal(0, scale, net.input_shape)
+    ref = forward(net, image).predicted_class
+    certified = apem_module._certified(net, image, ref, r_dir[None], np.array([first]),
+                                       np.array([last]), step, clip)
+    if certified[0]:
+        for k in range(first, last + 1):
+            x = image + r_dir * (k * step)
+            assert forward(net, np.clip(x, 0.0, 1.0) if clip else x).predicted_class == ref, k
 
 
 # ---------------------------------------------------------------------------
@@ -386,24 +455,30 @@ def test_gaps_equal_gap_per_map_in_fewer_calls(monkeypatch, desk_model, desk_tes
     maps = [simplify(compute_map(desk_model, image, m, target=ref), image, stage=3)
             for m in METHOD_NAMES]
     maps += [np.zeros((28, 28)), np.ones((28, 28))]
-    rows = _count_rows(monkeypatch)
+    rows, boxes = _spy_engine(monkeypatch)
     each = [_gap_or_none(desk_model, image, ref, m, step, cap, clip) for m in maps]
-    each_rows = list(rows)
+    each_rows, each_boxes = list(map(len, rows)), list(boxes)
     rows.clear()
+    boxes.clear()
     together = gaps(desk_model, image, ref, maps, step, cap, clip)
     assert together == each
     assert together[-2:] == [None, None]
-    assert max(rows) <= apem_module._CALL_ROWS
-    assert sum(rows) == sum(each_rows)
-    assert len(rows) < len(each_rows)
+    assert max(map(len, rows)) <= apem_module._CALL_ROWS
+    assert sum(map(len, rows)) == sum(each_rows)
+    assert len(rows) + len(boxes) < len(each_rows) + len(each_boxes)
     if idx == 2:
         assert any(g.capped_minus or g.capped_plus for g in together[:-2])
 
 
-# (image, step, clip) at cap 2500, with rounds that mix 1-row and 4-row blocks
+def _multiset(arrays):
+    return sorted(a.tobytes() for a in arrays)
+
+
+# (image, step, clip) at cap 2500: rays that mix certified and failed
+# segments with exact blocks
 @pytest.mark.parametrize("idx, step, clip", [(2, 1.0, False), (2, 0.5, True), (0, 1.0, True)])
-def test_gaps_fill_every_forward_call_but_the_last_of_a_round(monkeypatch, desk_model,
-                                                             desk_test_set, idx, step, clip):
+def test_gaps_give_each_ray_the_rows_and_segments_it_gets_alone(monkeypatch, desk_model,
+                                                                desk_test_set, idx, step, clip):
     cap = 2500
     image = desk_test_set.images[idx]
     ref = forward(desk_model, image).predicted_class
@@ -411,35 +486,35 @@ def test_gaps_fill_every_forward_call_but_the_last_of_a_round(monkeypatch, desk_
             for m in METHOD_NAMES]
     grad = input_gradient(desk_model, image, ref)
     rays = [ray for m in maps for ray in apem_module._ray_pair(m, grad)]
-    rows = _count_rows(monkeypatch)
-    alone = []  # each ray searched alone: the slope pass, then one call per round
-    for ray in rays:
-        rows.clear()
-        find_epsilon(desk_model, image, ref, ray, step, cap, clip)
-        alone.append(rows[1:])
+    rows, boxes = _spy_engine(monkeypatch)
+    alone = [find_epsilon(desk_model, image, ref, ray, step, cap, clip) for ray in rays]
+    alone_calls, alone_rows = len(rows) + len(boxes), [x for xs in rows for x in xs]
+    alone_boxes = [np.stack(box) for lo, hi, _ in boxes for box in zip(lo, hi)]
+    assert all(len(lo) == 1 for lo, _, _ in boxes)
     rows.clear()
-    for m in maps:
-        gap(desk_model, image, ref, m, step, cap, clip)
-    each_rows = sum(rows)
-    rows.clear()
-    gaps(desk_model, image, ref, maps, step, cap, clip)
-    # the slope pass of every ray, then each round's blocks of all live rays
-    rounds = [len(rays)] + [sum(calls[r] for calls in alone if r < len(calls))
-                            for r in range(max(map(len, alone)))]
-    n = apem_module._CALL_ROWS
-    assert rows == [min(n, total - i) for total in rounds for i in range(0, total, n)]
-    assert sum(rows) == each_rows
-    assert any(1 in calls and apem_module._BLOCK in calls for calls in alone)
+    boxes.clear()
+    together = gaps(desk_model, image, ref, maps, step, cap, clip)
+    assert [(g.eps_minus, g.capped_minus, g.eps_plus, g.capped_plus) for g in together] == [
+        (*alone[i], *alone[i + 1]) for i in range(0, len(alone), 2)]
+    # every exact row and every segment's box is the same array, bit for bit
+    assert _multiset(x for xs in rows for x in xs) == _multiset(alone_rows)
+    assert _multiset(np.stack(box) for lo, hi, _ in boxes for box in zip(lo, hi)) == _multiset(
+        alone_boxes)
+    assert max(map(len, rows)) <= apem_module._CALL_ROWS
+    assert max(len(lo) for lo, _, _ in boxes) <= apem_module._CALL_SEGMENTS
+    assert len(rows) + len(boxes) < alone_calls
+    flags = np.concatenate([f for _, _, f in boxes])
+    assert flags.any() and not flags.all()
 
 
 def test_gaps_skip_undefined_maps_without_a_search(monkeypatch):
     net = random_net(3)
     image = np.random.default_rng(3).uniform(0, 1, (1, 8, 8))
     ref = forward(net, image).predicted_class
-    rows = _count_rows(monkeypatch)
+    rows, boxes = _spy_engine(monkeypatch)
     assert gaps(net, image, ref, [np.zeros((8, 8)), np.ones((8, 8))]) == [None, None]
     assert gaps(net, image, ref, []) == []
-    assert rows == []
+    assert rows == [] and boxes == []
 
 
 @pytest.mark.parametrize(
@@ -464,6 +539,34 @@ def test_gaps_reject_what_gap_rejects(ref_shift, bad_value, step, cap):
         gaps(net, image, ref, maps, step, cap)
     with pytest.raises(InputShapeError):
         gap(net, image, ref, maps[-1], step, cap)
+
+
+# (search, what is non-finite, value): a NaN or inf pixel gave a full search
+# and a silent "capped" result
+@pytest.mark.parametrize(
+    "search, where, value",
+    [(search, "image", value) for search in ("gap", "gaps", "find_epsilon", "find_epsilon_scan")
+     for value in (np.nan, np.inf)]
+    + [(search, "ray", value) for search in ("find_epsilon", "find_epsilon_scan")
+       for value in (np.nan, -np.inf)],
+)
+def test_searches_reject_non_finite_inputs(search, where, value):
+    net = random_net(4)
+    rng = np.random.default_rng(4)
+    image = rng.uniform(0, 1, (1, 8, 8))
+    r_dir = rng.normal(0, 0.01, (1, 8, 8))
+    (image if where == "image" else r_dir)[0, 3, 5] = value
+    with np.errstate(invalid="ignore"):  # gap takes the gradient before it checks
+        ref = forward(net, image).predicted_class
+    rmap = np.full((8, 8), 0.5)
+    run = {
+        "gap": lambda: gap(net, image, ref, rmap, cap=50),
+        "gaps": lambda: gaps(net, image, ref, [rmap], cap=50),
+        "find_epsilon": lambda: find_epsilon(net, image, ref, r_dir, cap=50),
+        "find_epsilon_scan": lambda: find_epsilon_scan(net, image, ref, r_dir, cap=50),
+    }[search]
+    with pytest.raises(InputShapeError, match="finite"), np.errstate(invalid="ignore"):
+        run()
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from apemkit.netcore import (
     _col2im,
     _im2col,
     accuracy,
+    certify_boxes,
     feature_map_gradient,
     forward,
     forward_logits_batch,
@@ -223,6 +224,35 @@ def test_batched_forward_dense_net_and_shape_rejection():
 
 def test_batch_rows_equal_forward_exactly_on_desk_images(desk_model, desk_test_set):
     _assert_rows_equal_forward(desk_model, desk_test_set.images[:100])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_certify_boxes_flags_do_not_depend_on_the_batch(seed):
+    rng = np.random.default_rng(seed + 500)
+    for net in (random_net(seed), random_dense_net(seed)):
+        centres = rng.uniform(0, 1, (24,) + net.input_shape)
+        widths = rng.choice([0.0, 1e-3, 1e-2, 1e-1], size=24)
+        radii = widths.reshape((-1,) + (1,) * len(net.input_shape)) * rng.uniform(
+            0, 1, centres.shape)
+        lo, hi = centres - radii, centres + radii
+        ref = forward(net, centres[0]).predicted_class
+        flags = certify_boxes(net, lo, hi, ref)
+        alone = [certify_boxes(net, lo[i:i + 1], hi[i:i + 1], ref)[0] for i in range(24)]
+        assert flags.dtype == bool and list(flags) == alone
+        assert flags.any() and not flags.all()
+        # a certified box keeps the reference class at its centre
+        assert all(forward(net, c).predicted_class == ref for c in centres[flags])
+
+
+def test_certify_boxes_rejects_mismatched_bounds():
+    net = random_dense_net(1)
+    lo = np.zeros((2, 12))
+    with pytest.raises(InputShapeError):
+        certify_boxes(net, lo, np.zeros((3, 12)), 0)
+    with pytest.raises(InputShapeError):
+        certify_boxes(net, lo, np.zeros((2, 11)), 0)
+    with pytest.raises(InputShapeError):
+        certify_boxes(net, np.zeros((2, 11)), np.zeros((2, 11)), 0)
 
 
 def test_only_the_epsilon_search_calls_forward_logits_batch(monkeypatch):

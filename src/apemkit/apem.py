@@ -260,6 +260,7 @@ def gap(
     the reference class (for misclassified samples callers pass the model's
     prediction). Relevance and irrelevance searches share that sign.
     """
+    image = _check_search(net, image, reference_class, step, cap)
     r_dir, ri_dir = _ray_pair(rmap, input_gradient(net, image, reference_class))
     return _gap_result(find_epsilon(net, image, reference_class, r_dir, step, cap, clip),
                        find_epsilon(net, image, reference_class, ri_dir, step, cap, clip))

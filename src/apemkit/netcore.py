@@ -206,12 +206,16 @@ def _check_input(net: Network, image: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(layer: Conv2D, x: np.ndarray):
-    """(B, c, h, w) -> columns (B, c*kh*kw, oh*ow), one per output pixel.
+def _im2col(layer: Dense | Conv2D, x: np.ndarray):
+    """Columns of an affine layer's input and the output's spatial shape.
 
-    Built by one strided slice copy per kernel offset, the loop _col2im runs
-    in reverse; at small B this costs less than one 6-D sliding-window copy.
+    A conv's (B, c, h, w) gives (B, c*kh*kw, oh*ow), one column per output
+    pixel, built by one strided slice copy per kernel offset, the loop
+    _col2im runs in reverse; at small B this costs less than one 6-D
+    sliding-window copy. A dense layer's one column is its flattened input.
     """
+    if layer.kind == "dense":
+        return x.reshape(len(x), -1, 1), ()
     b, c, h, w = x.shape
     kh, kw = layer.weight.shape[2:]
     p, s = layer.padding, layer.stride
@@ -227,8 +231,10 @@ def _im2col(layer: Conv2D, x: np.ndarray):
     return cols.reshape(b, c * kh * kw, oh * ow), (oh, ow)
 
 
-def _col2im(layer: Conv2D, dcols: np.ndarray, x_shape) -> np.ndarray:
+def _col2im(layer: Dense | Conv2D, dcols: np.ndarray, x_shape) -> np.ndarray:
     """Adjoint of _im2col: adds every column entry back onto its input pixel."""
+    if layer.kind == "dense":
+        return dcols.reshape(x_shape)
     b, c, h, w = x_shape
     _, oh, ow = layer.output_shape(x_shape[1:])
     kh, kw = layer.weight.shape[2:]
@@ -260,17 +266,15 @@ def _unpool(layer: MaxPool2D, dy: np.ndarray, idx: np.ndarray, x_shape) -> np.nd
 
 def _layer_forward(layer: Layer, x: np.ndarray, route: bool = False):
     """Output of one layer for the batch x, and with route the aux _backward
-    needs: a conv's im2col columns or a max-pool's first-maximum offsets."""
+    needs: an affine layer's columns or a max-pool's first-maximum offsets."""
     b = x.shape[0]
     aux = None
-    if layer.kind == "dense":
-        # one matrix-vector product per row: a row's logits are bit-equal
-        # at any batch size, which one matrix-matrix product would not give
-        y = np.matmul(layer.weight, x.reshape(b, -1, 1))[..., 0] + layer.bias
-    elif layer.kind == "conv2d":
-        cols, (oh, ow) = _im2col(layer, x)
+    if layer.affine:
+        # one matrix product per row: a row's output is bit-equal at any
+        # batch size, which one product over the whole batch would not give
+        cols, spatial = _im2col(layer, x)
         wmat = layer.weight.reshape(layer.weight.shape[0], -1)
-        y = (np.matmul(wmat, cols) + layer.bias[:, None]).reshape(b, -1, oh, ow)
+        y = (np.matmul(wmat, cols) + layer.bias[:, None]).reshape(b, -1, *spatial)
         aux = cols if route else None
     elif layer.kind == "relu":
         y = np.maximum(x, 0.0)
@@ -306,20 +310,13 @@ def _backward(net: Network, trace: list, dy: np.ndarray, guided=False, stop=0, g
 
     trace is _forward's from layer 0. With guided, relu layers also zero
     negative incoming signals. With a list for grads, appends
-    (layer, dweight, dbias) summed over the batch for each dense and conv layer.
+    (layer, dweight, dbias) summed over the batch for each affine layer.
     """
     for i in range(len(net.layers) - 1, stop - 1, -1):
         layer = net.layers[i]
         x, aux = trace[i]
-        b = x.shape[0]
-        if layer.kind == "dense":
-            if grads is not None:
-                xf = x.reshape(b, -1)
-                dw = (dy[:, :, None] * xf[:, None, :]).sum(axis=0)
-                grads.append((layer, dw, dy.sum(axis=0)))
-            dy = np.matmul(layer.weight.T, dy[:, :, None])[..., 0].reshape(x.shape)
-        elif layer.kind == "conv2d":
-            dy = dy.reshape(b, layer.weight.shape[0], -1)
+        if layer.affine:
+            dy = dy.reshape(len(x), layer.weight.shape[0], -1)
             wmat = layer.weight.reshape(layer.weight.shape[0], -1)
             if grads is not None:
                 dw = np.matmul(dy, aux.transpose(0, 2, 1)).sum(axis=0)
@@ -402,17 +399,13 @@ def certify_boxes(net: Network, lo: np.ndarray, hi: np.ndarray,
             w = np.concatenate([w, w[reference_class] - w])
             bias = np.concatenate([bias, bias[reference_class] - bias])
         centre_radius = np.concatenate([bounds[:b] + bounds[b:], bounds[b:] - bounds[:b]]) / 2
-        if layer.kind == "conv2d":
-            cols, _ = _im2col(layer, centre_radius)
-            w = w.reshape(w.shape[0], -1)
-        else:
-            cols = centre_radius.reshape(2 * b, -1, 1)
+        cols, spatial = _im2col(layer, centre_radius)
+        w = w.reshape(w.shape[0], -1)
         centre = np.matmul(w, cols[:b]) + bias[:, None]
         radius = np.matmul(np.abs(w), cols[b:])
         if i < last:
-            shape = (b,) + layer.output_shape(bounds.shape[1:])
-            bounds = np.concatenate([(centre - radius).reshape(shape),
-                                     (centre + radius).reshape(shape)])
+            bounds = np.concatenate([(centre - radius).reshape(b, -1, *spatial),
+                                     (centre + radius).reshape(b, -1, *spatial)])
     n = net.num_classes
     centre, radius = centre[..., 0], radius[..., 0]
     guard = 1e-6 * (1.0 + (np.abs(centre[:, :n]) + radius[:, :n]).max(axis=1))
@@ -511,6 +504,9 @@ def train(net: Network, dataset: Dataset, epochs: int, lr: float, seed: int) -> 
     """Plain per-sample SGD on cross-entropy. Deterministic given seed."""
     if len(dataset) == 0:
         raise InputShapeError("cannot train on an empty dataset")
+    if dataset.images.shape[1:] != net.input_shape:
+        raise InputShapeError(f"images of shape {dataset.images.shape[1:]} do not match "
+                              f"network input {net.input_shape}")
     bad = np.flatnonzero((dataset.labels < 0) | (dataset.labels >= net.num_classes))
     if bad.size:
         i = int(bad[0])

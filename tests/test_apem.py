@@ -556,7 +556,7 @@ def test_searches_reject_non_finite_inputs(search, where, value):
     image = rng.uniform(0, 1, (1, 8, 8))
     r_dir = rng.normal(0, 0.01, (1, 8, 8))
     (image if where == "image" else r_dir)[0, 3, 5] = value
-    with np.errstate(invalid="ignore"):  # gap takes the gradient before it checks
+    with np.errstate(invalid="ignore"):  # the reference forward runs on the bad pixel
         ref = forward(net, image).predicted_class
     rmap = np.full((8, 8), 0.5)
     run = {
@@ -565,7 +565,8 @@ def test_searches_reject_non_finite_inputs(search, where, value):
         "find_epsilon": lambda: find_epsilon(net, image, ref, r_dir, cap=50),
         "find_epsilon_scan": lambda: find_epsilon_scan(net, image, ref, r_dir, cap=50),
     }[search]
-    with pytest.raises(InputShapeError, match="finite"), np.errstate(invalid="ignore"):
+    # every check comes before any arithmetic on the bad value
+    with pytest.raises(InputShapeError, match="finite"), np.errstate(invalid="raise"):
         run()
 
 

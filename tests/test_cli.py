@@ -237,6 +237,17 @@ def test_exit_code_3_on_idx_labels_outside_the_classes(tmp_path, capsys):
     assert "label 12 of sample 3 out of range for 10 classes" in capsys.readouterr().err
 
 
+def test_exit_code_3_on_idx_images_of_another_size(tmp_path, capsys):
+    from test_data import write_idx_images, write_idx_labels
+
+    images, labels = tmp_path / "images", tmp_path / "labels"
+    write_idx_images(images, np.zeros((6, 32, 32)))
+    write_idx_labels(labels, [0, 1, 2, 3, 4, 5])
+    assert main(["train", "--dataset", f"idx:{images}:{labels}", "--epochs", "1",
+                 "--out", str(tmp_path / "run")]) == 3
+    assert "(1, 32, 32) do not match network input (1, 28, 28)" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_malformed_per_image_csv(tmp_path):
     results = tmp_path / "results"
     results.mkdir()

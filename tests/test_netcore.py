@@ -26,8 +26,11 @@ from apemkit.netcore import (
     MaxPool2D,
     Network,
     ReLU,
+    _backward,
     _col2im,
     _im2col,
+    _loss_seed,
+    _trace_one,
     accuracy,
     certify_boxes,
     feature_map_gradient,
@@ -125,7 +128,10 @@ def test_forward_matches_naive_on_strided_padded_conv():
 
 
 def _im2col_reference(layer, x):
-    """Reference columns: one 6-D sliding-window copy of the padded input."""
+    """Reference columns: a dense layer's flattened input as one column, a
+    conv's by one 6-D sliding-window copy of the padded input."""
+    if layer.kind == "dense":
+        return x.reshape(len(x), -1, 1), ()
     b, c = x.shape[:2]
     kh, kw = layer.weight.shape[2:]
     p, s = layer.padding, layer.stride
@@ -135,19 +141,23 @@ def _im2col_reference(layer, x):
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow), (oh, ow)
 
 
-def _conv_cases(stride, padding):
-    """(layer, x) over batch 1-5, channels 1-3 and kernels 1-3 by 1-3 on a 7x6 input."""
+def _affine_cases(stride, padding):
+    """(layer, x): convs over batch 1-5, channels 1-3 and kernels 1-3 by 1-3
+    on a 7x6 input, then dense layers over batch 1-5 on a flat or 3-D input."""
     rng = np.random.default_rng(10 * stride + padding)
     for b, c, kh, kw in itertools.product(range(1, 6), range(1, 4), range(1, 4), range(1, 4)):
         layer = Conv2D(rng.normal(size=(2, c, kh, kw)), np.zeros(2), stride=stride,
                        padding=padding)
         yield layer, rng.normal(size=(b, c, 7, 6))
+    for b, shape in itertools.product(range(1, 6), [(9,), (2, 7, 6)]):
+        yield Dense(rng.normal(size=(3, int(np.prod(shape)))), np.zeros(3)), \
+            rng.normal(size=(b, *shape))
 
 
 @pytest.mark.parametrize("padding", [0, 1, 2])
 @pytest.mark.parametrize("stride", [1, 2])
 def test_im2col_equals_the_sliding_window_construction(stride, padding):
-    for layer, x in _conv_cases(stride, padding):
+    for layer, x in _affine_cases(stride, padding):
         cols, shape = _im2col(layer, x)
         want, want_shape = _im2col_reference(layer, x)
         assert shape == want_shape
@@ -160,7 +170,7 @@ def test_im2col_equals_the_sliding_window_construction(stride, padding):
 def test_col2im_is_the_adjoint_of_im2col(stride, padding):
     # <im2col(x), d> = <x, col2im(d)> for every x and d
     rng = np.random.default_rng(100 + 10 * stride + padding)
-    for layer, x in _conv_cases(stride, padding):
+    for layer, x in _affine_cases(stride, padding):
         cols, _ = _im2col(layer, x)
         d = rng.normal(size=cols.shape)
         np.testing.assert_allclose(np.vdot(cols, d), np.vdot(x, _col2im(layer, d, x.shape)),
@@ -331,6 +341,30 @@ def test_input_gradient_dense_net_matches_finite_differences():
     exact = input_gradient(net, x, 2)
     approx = fd_loss_gradient(net, x, 2)
     np.testing.assert_allclose(exact, approx, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_weight_gradients_match_finite_differences(seed, h=1e-6):
+    net = random_net(seed)
+    image = np.random.default_rng(seed + 70).uniform(0.1, 0.9, (1, 8, 8))
+    label = seed % 5
+    logits, trace = _trace_one(net, image)
+    grads = []
+    _backward(net, trace, _loss_seed(logits, label)[None], grads=grads)
+    assert [layer.kind for layer, _, _ in grads] == ["dense", "conv2d"]
+    for layer, dw, db in grads:
+        for param, exact in ((layer.weight, dw), (layer.bias, db)):
+            assert exact.shape == param.shape
+            approx = np.zeros_like(param)
+            for idx in np.ndindex(param.shape):
+                saved = param[idx]
+                param[idx] = saved + h
+                up = loss(forward(net, image), label)
+                param[idx] = saved - h
+                down = loss(forward(net, image), label)
+                param[idx] = saved
+                approx[idx] = (up - down) / (2 * h)
+            np.testing.assert_allclose(exact, approx, rtol=1e-5, atol=1e-8)
 
 
 def test_guided_gradient_zeros_negative_backward_signals():
@@ -515,6 +549,18 @@ def test_train_rejects_a_label_outside_the_classes_before_any_step(monkeypatch):
         ds = Dataset(images=_blob_toy_dataset(6).images, labels=np.array(bad))
         with pytest.raises(InputShapeError, match=message):
             train(net, ds, epochs=1, lr=0.1, seed=0)
+
+
+def test_train_rejects_images_of_another_shape_before_any_step(monkeypatch):
+    from apemkit import netcore
+
+    def refuse(*args):
+        raise AssertionError("an SGD step ran")
+
+    monkeypatch.setattr(netcore, "_sgd_step", refuse)
+    ds = Dataset(images=np.zeros((4, 1, 10, 10)), labels=np.zeros(4, dtype=np.int64))
+    with pytest.raises(InputShapeError, match=r"\(1, 10, 10\) do not match network input"):
+        train(random_net(2, n_classes=2), ds, epochs=1, lr=0.1, seed=0)
 
 
 def test_train_raises_on_non_finite_loss():

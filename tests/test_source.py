@@ -7,8 +7,8 @@ import pytest
 
 import apemkit
 
-MODULES = sorted(p for p in Path(apemkit.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(apemkit.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +40,59 @@ def test_unused_import_check_flags_only_unread_names():
               "from .e import f  # noqa: F401\n"
               "x = np.zeros(b)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: d"]
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private names a module binds at top level (functions, classes and
+    assignments, tuple targets included), each with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        names.update((name, node.lineno) for name in bound
+                     if name.startswith("_") and not name.startswith("__"))
+    return names
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """`module:line: name` for each private top-level name that no module
+    of `sources` reads, as a bare name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}:{line}: {name}" for module, tree in trees.items()
+            for name, line in private_definitions(tree).items() if name not in read]
+
+
+def test_package_reads_every_private_name_it_defines():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unread_private_names(sources) == []
+
+
+def test_unread_private_name_check_flags_only_unread_names():
+    sources = {
+        "a.py": ("_BLOCK, _CALL_ROWS = 4, 16\n"
+                 "_UNUSED: int = 1\n"
+                 "def _helper():\n"
+                 "    return _BLOCK\n"
+                 "class _Box:\n"
+                 "    pass\n"
+                 "def _dense_only(x):\n"
+                 "    return x\n"),
+        "b.py": ("from . import a\n"
+                 "from .a import _helper\n"
+                 "x = _helper() + a._CALL_ROWS\n"),
+    }
+    assert unread_private_names(sources) == ["a.py:2: _UNUSED", "a.py:5: _Box",
+                                             "a.py:7: _dense_only"]

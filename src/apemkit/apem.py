@@ -59,13 +59,19 @@ def direct(r_norm: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return r_norm * np.sign(grad)
 
 
-# The search's schedule (see find_epsilon): segments of _FIRST_SEGMENT steps,
-# doubled on success up to _MAX_SEGMENT and halved on failure, and an exact
-# block of _BLOCK rows after a failed segment of at most _HALVE_ABOVE steps.
+# The search's schedule (see find_epsilon). A ray's first segment has
+# _FIRST_SEGMENT steps, and a certified segment doubles the next, up to
+# _MAX_SEGMENT. Two rules follow a failed segment:
+# (a) the next _HOLD certified segments keep their length; doubling resumes
+#     after them;
+# (b) a failed segment of more than _HALVE_ABOVE steps is retried at half its
+#     length. One of _HALVE_ABOVE steps is followed by one exact block of
+#     _BLOCK rows, and a shorter one by two, before the ray tries a segment
+#     of _FIRST_SEGMENT steps again.
 # Forward calls take at most _CALL_ROWS rows (a row costs least in calls of
 # 8-16 rows); certificate calls at most _CALL_SEGMENTS segments, whose 2 * 4
 # stacked bounds keep the call's temporaries below a 16-row forward's.
-_BLOCK, _CALL_ROWS = 4, 16
+_BLOCK, _HOLD, _CALL_ROWS = 4, 2, 16
 _FIRST_SEGMENT, _MAX_SEGMENT, _HALVE_ABOVE, _CALL_SEGMENTS = 4, 1024, 8, 4
 
 
@@ -120,7 +126,8 @@ def _certified(net: Network, image: np.ndarray, reference_class: int, rays: np.n
 
 
 def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[np.ndarray],
-            step: float, cap: int, clip: bool) -> list[tuple[int, bool]]:
+            step: float, cap: int, clip: bool,
+            plans: list[dict[int, int]] | None = None) -> list[tuple[int, bool]]:
     """find_epsilon's (k, capped) for every ray in r_dirs, searched in lockstep.
 
     Each ray keeps its own start and schedule. Each round stacks the exact
@@ -128,18 +135,34 @@ def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[
     and their segments into one batch, sliced into certificate calls. A
     row's logits and a segment's flag do not depend on their batch, so every
     ray evaluates exactly the rows and segments it would evaluate alone.
+
+    plans[i], if given, maps the start of every segment that certified on
+    ray i's previous search to its steps, and of every exact block that ran
+    to 0. A ray that reaches a recorded start takes that step once; anywhere
+    else, and after a replayed segment fails, the schedule applies. On
+    return, plans[i] holds this search's plan. The result does not depend on
+    the plans: every k below the returned one is certified or evaluated.
     """
     if not r_dirs:
         return []
     rays = np.stack(r_dirs)
+    plans = [{} for _ in rays] if plans is None else plans
+    recorded = [plan.copy() for plan in plans]
+    for plan in plans:
+        plan.clear()
     found = [(cap, True)] * len(rays)
-    # ray: (start, steps of its next segment, or 0 for an exact block)
-    live = {i: (1, _FIRST_SEGMENT) for i in range(len(rays))}
+    # ray: (start, steps of its next segment, exact blocks to run before it,
+    #       certified segments that keep their length)
+    live = {i: (1, _FIRST_SEGMENT, 0, 0) for i in range(len(rays))}
     while live:
-        blocks = {i: np.arange(start, min(start + _BLOCK - 1, cap) + 1)
-                  for i, (start, steps) in live.items() if not steps}
-        segments = {i: (start, min(start + steps - 1, cap))
-                    for i, (start, steps) in live.items() if steps}
+        taken = {}  # ray: the steps of the segment it takes now, 0 for an exact block
+        for i, (start, steps, blocks_left, _) in live.items():
+            replayed = recorded[i].pop(start, None)
+            taken[i] = replayed if replayed is not None else 0 if blocks_left else steps
+        blocks = {i: np.arange(live[i][0], min(live[i][0] + _BLOCK - 1, cap) + 1)
+                  for i, steps in taken.items() if not steps}
+        segments = {i: (live[i][0], min(live[i][0] + steps - 1, cap))
+                    for i, steps in taken.items() if steps}
         next_live = {}
         if blocks:
             ray_of_row = np.repeat(list(blocks), [len(block) for block in blocks.values()])
@@ -147,21 +170,28 @@ def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[
             logits = _sliced_logits(net, _points(image, rays[ray_of_row], ks, step, clip))
             for i, block in blocks.items():
                 z, logits = logits[:len(block)], logits[len(block):]
+                plans[i][int(block[0])] = 0
                 flips = np.argmax(z, axis=1) != reference_class
                 if flips.any():
                     found[i] = int(block[np.argmax(flips)]), False
                 elif block[-1] < cap:
-                    next_live[i] = int(block[-1]) + 1, _FIRST_SEGMENT
+                    _, steps, blocks_left, hold = live[i]
+                    next_live[i] = int(block[-1]) + 1, steps, max(blocks_left - 1, 0), hold
         if segments:
             firsts, lasts = np.array(list(segments.values())).T
             certified = _certified(net, image, reference_class, rays[list(segments)],
                                    firsts, lasts, step, clip)
             for (i, (first, last)), ok in zip(segments.items(), certified):
-                steps = last - first + 1
-                if not ok:
-                    next_live[i] = first, steps // 2 if steps > _HALVE_ABOVE else 0
-                elif last < cap:
-                    next_live[i] = last + 1, min(2 * steps, _MAX_SEGMENT)
+                steps, hold = last - first + 1, live[i][3]
+                if ok:
+                    plans[i][int(first)] = int(steps)
+                    if last < cap:  # doubles, or keeps its length while hold lasts (a)
+                        next_live[i] = (last + 1, steps if hold else min(2 * steps, _MAX_SEGMENT),
+                                        0, max(hold - 1, 0))
+                elif steps > _HALVE_ABOVE:
+                    next_live[i] = first, steps // 2, 0, _HOLD
+                else:  # (b)
+                    next_live[i] = first, _FIRST_SEGMENT, 1 + (steps < _HALVE_ABOVE), _HOLD
         live = next_live
     return found
 
@@ -192,16 +222,19 @@ def find_epsilon(
     when every margin logit_ref - logit_c has a lower bound above 2 * g,
     where the guard g = 1e-6 * (1 + max|logit| in the box) dwarfs float64
     rounding in the logits, so no k in the segment flips. The first segment
-    has 4 steps; a certified segment doubles the next, up to 1024 steps. A
-    failed segment is halved, or, at 8 steps or fewer, its first 4 steps are
-    evaluated exactly, and the next segment has 4 steps again. Past cap, the
-    search returns (cap, True).
+    has 4 steps; a certified segment doubles the next, up to 1024 steps,
+    except that the two certified segments after a failure keep their
+    length. A failed segment of more than 8 steps is retried at half its
+    length; one of 8 steps is followed by one exact block of 4 rows and a
+    shorter one by two, and the ray then tries a 4-step segment again. Past
+    cap, the search returns (cap, True).
 
     This is the one-ray case of the lockstep search that gaps() runs over
     all the rays of an image, whose rows are sliced into forward calls of
     at most 16 rows and its segments into certificate calls of at most 4;
-    both give each ray the same rows, segments and result. Raises
-    InputShapeError on a non-finite image or ray.
+    both give each ray the same rows, segments and result. ImageSearch
+    replays a ray slot's previous plan instead, with the same result.
+    Raises InputShapeError on a non-finite image or ray.
     """
     image = _check_search(net, image, reference_class, step, cap)
     _check_ray(r_dir, image)
@@ -266,6 +299,43 @@ def gap(
                        find_epsilon(net, image, reference_class, ri_dir, step, cap, clip))
 
 
+class ImageSearch:
+    """The gap searches of one image: the checks, the reference forward and
+    the loss gradient are done once, on construction.
+
+    Each ray slot (a map's position in gaps(), relevance or irrelevance)
+    keeps the plan of its last search, which the slot's next search replays
+    (see _search). A chain of similar maps, such as filter_map's candidates,
+    then skips the segments that failed on the previous map. The results do
+    not depend on the plans.
+    """
+
+    def __init__(self, net: Network, image: np.ndarray, reference_class: int,
+                 step: float = 1.0, cap: int = 10_000, clip: bool = False):
+        self.image = _check_search(net, image, reference_class, step, cap)
+        self.grad = input_gradient(net, self.image, reference_class)
+        self.net, self.reference_class = net, reference_class
+        self.step, self.cap, self.clip = step, cap, clip
+        self.plans: dict[tuple[int, int], dict[int, int]] = {}
+
+    def gaps(self, maps: list[RelevanceMap | np.ndarray]) -> list[GapResult | None]:
+        """gap() of every map, None where a map (or its irrelevance) is all
+        zero; the 2 * len(maps) rays are searched in lockstep."""
+        pairs = []
+        for rmap in maps:
+            try:
+                pairs.append(_ray_pair(rmap, self.grad))
+            except ZeroMapError:
+                pairs.append(None)
+        slots = [(m, side) for m, pair in enumerate(pairs) if pair is not None for side in (0, 1)]
+        rays = [pairs[m][side] for m, side in slots]
+        plans = [self.plans.setdefault(slot, {}) for slot in slots]
+        found = iter(_search(self.net, self.image, self.reference_class, rays, self.step,
+                             self.cap, self.clip, plans))
+        return [None if pair is None else _gap_result(next(found), next(found))
+                for pair in pairs]
+
+
 def gaps(
     net: Network,
     image: np.ndarray,
@@ -278,22 +348,11 @@ def gaps(
     """gap() of every map of one image, None where a map (or its
     irrelevance) is all zero and the gap is undefined.
 
-    The checks, the reference forward and the gradient sign are done once,
-    and the 2 * len(maps) rays are searched in lockstep, so their blocks
-    share forward calls. The results equal gap() on each map.
+    The checks, the reference forward and the gradient sign are done once
+    (one ImageSearch), and the 2 * len(maps) rays are searched in lockstep,
+    so their blocks share forward calls. The results equal gap() on each map.
     """
-    image = _check_search(net, image, reference_class, step, cap)
-    grad = input_gradient(net, image, reference_class)
-    pairs = []
-    for rmap in maps:
-        try:
-            pairs.append(_ray_pair(rmap, grad))
-        except ZeroMapError:
-            pairs.append(None)
-    rays = [ray for pair in pairs if pair is not None for ray in pair]
-    found = iter(_search(net, image, reference_class, rays, step, cap, clip))
-    return [None if pair is None else _gap_result(next(found), next(found))
-            for pair in pairs]
+    return ImageSearch(net, image, reference_class, step, cap, clip).gaps(maps)
 
 
 def apem(gaps) -> float:

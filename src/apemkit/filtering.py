@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apem import gap, gaps
+from .apem import ImageSearch, gap
 from .errors import InputShapeError, ZeroMapError
 from .explain import RelevanceMap
 from .netcore import Network
@@ -46,6 +46,16 @@ def filter_map(
     batch_fraction: float = 0.05,
     clip: bool = False,
 ) -> FilterTrace:
+    """Clean rmap by zeroing its smallest values while the gap holds.
+
+    The original map is scored with gap(); the candidates of the chain go
+    through one ImageSearch, so the checks and the loss gradient are done
+    once per chain, and each candidate's rays replay the plan of the
+    previous candidate's: its certified segments and exact blocks, without
+    the segments that failed. The trace equals that of a fresh gaps() call
+    per candidate. Raises ZeroMapError when rmap (or its irrelevance) is
+    all zero.
+    """
     if not 0 < batch_fraction <= 1:
         raise InputShapeError(f"batch_fraction must be in (0, 1], got {batch_fraction}")
     values = np.array(rmap.values, dtype=np.float64)
@@ -54,6 +64,7 @@ def filter_map(
     except ZeroMapError as e:
         raise ZeroMapError(f"filter inapplicable: {e}") from e
 
+    search = ImageSearch(net, image, reference_class, step, cap, clip)
     current_gap = original
     iterations: list[FilterIteration] = []
 
@@ -69,7 +80,7 @@ def filter_map(
         zeroed = int(mask.sum())
         candidate = values.copy()
         candidate[mask] = 0.0
-        result = gaps(net, image, reference_class, [candidate], step, cap, clip)[0]
+        result = search.gaps([candidate])[0]
         if result is None or result.gap < current_gap:
             break
         iterations.append(FilterIteration(threshold=threshold, zeroed=zeroed, gap=result.gap))

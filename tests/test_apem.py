@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from apemkit.apem import (
     GapResult,
+    ImageSearch,
     apem,
     direct,
     find_epsilon,
@@ -268,23 +269,41 @@ def test_find_epsilon_follows_the_segment_schedule(monkeypatch, desk_model, desk
     k, capped = find_epsilon(desk_model, image, ref, r_dir, cap=cap)
 
     def segment(first, steps):
-        return first, min(first + steps - 1, cap)
+        return "segment", first, min(first + steps - 1, cap)
 
-    assert events[0][:3] == ("segment", *segment(1, apem_module._FIRST_SEGMENT))
+    def block(first):
+        return "block", list(range(first, min(first + apem_module._BLOCK, cap + 1)))
+
+    # the schedule's state: certified segments that keep their length (rule
+    # a) and exact blocks still to run before the next segment (rule b)
+    hold = blocks_left = held = 0
+    block_runs = []  # blocks_left set by each failed segment of at most _HALVE_ABOVE steps
+    assert events[0][:3] == segment(1, apem_module._FIRST_SEGMENT)
     for before, event in zip(events, events[1:]):
-        if before[0] == "block":  # no flip in it: the next segment starts over
-            assert event[:3] == ("segment", *segment(before[1][-1] + 1,
-                                                     apem_module._FIRST_SEGMENT))
+        if before[0] == "block":  # no flip in it
+            blocks_left -= 1
+            start = before[1][-1] + 1
+            if blocks_left:
+                assert event == block(start)
+            else:
+                assert event[:3] == segment(start, apem_module._FIRST_SEGMENT)
             continue
         _, first, last, certified = before
         steps = last - first + 1
-        if certified:
-            assert event[:3] == ("segment", *segment(last + 1,
-                                                     min(2 * steps, apem_module._MAX_SEGMENT)))
-        elif steps > apem_module._HALVE_ABOVE:
-            assert event[:3] == ("segment", *segment(first, steps // 2))
-        else:
-            assert event == ("block", list(range(first, min(first + apem_module._BLOCK, cap + 1))))
+        if certified:  # doubles, except for the _HOLD after a failure (rule a)
+            assert event[:3] == segment(last + 1, steps if hold else
+                                        min(2 * steps, apem_module._MAX_SEGMENT))
+            held += hold > 0
+            hold = max(hold - 1, 0)
+            continue
+        hold = apem_module._HOLD
+        if steps > apem_module._HALVE_ABOVE:
+            assert event[:3] == segment(first, steps // 2)
+        else:  # rule b: two blocks after a short failed segment, one after 8 steps
+            blocks_left = 2 if steps < apem_module._HALVE_ABOVE else 1
+            block_runs.append(blocks_left)
+            assert event == block(first)
+    assert held and set(block_runs) == {1, 2}  # both rules fire, rule b in both its cases
     kinds = [(e[0], e[-1]) if e[0] == "segment" else e[:1] for e in events]
     if idx == 0:
         assert not capped and events[-1][0] == "block" and k in events[-1][1]
@@ -292,6 +311,18 @@ def test_find_epsilon_follows_the_segment_schedule(monkeypatch, desk_model, desk
     else:  # the cap cuts the last segment or block
         assert capped and max(events[-1][1:3] if events[-1][0] == "segment"
                               else events[-1][1]) == cap
+
+
+def test_find_epsilon_runs_at_most_30_percent_of_the_hard_ray_as_rows(monkeypatch, desk_model,
+                                                                     desk_test_set):
+    # desk image 71's gradient relevance ray, whose 8-step segments keep
+    # failing: it ran 1,248 of its 2,500 steps as exact rows when every
+    # failure restarted the ray at a doubling 4-step segment
+    cap = 2500
+    ref, r_dir = _desk_ray(desk_model, desk_test_set.images[71], "gradient", "rel")
+    rows, _ = _spy_engine(monkeypatch)
+    assert find_epsilon(desk_model, desk_test_set.images[71], ref, r_dir, cap=cap) == (cap, True)
+    assert sum(map(len, rows)) <= 0.3 * cap
 
 
 def _tie_net(signs, thresholds, out_weight, out_bias):
@@ -505,6 +536,49 @@ def test_gaps_give_each_ray_the_rows_and_segments_it_gets_alone(monkeypatch, des
     assert len(rows) + len(boxes) < alone_calls
     flags = np.concatenate([f for _, _, f in boxes])
     assert flags.any() and not flags.all()
+
+
+# (image, method, step, clip) at cap 2500: rays with failed segments and
+# exact blocks, image 2's capped ones among them
+@pytest.mark.parametrize("idx, method, step, clip", [(2, "gradient", 1.0, False),
+                                                    (71, "gradient", 1.0, False),
+                                                    (0, "lrp", 0.5, True)])
+def test_a_search_state_replays_its_plan_without_a_failed_segment(monkeypatch, desk_model,
+                                                                   desk_test_set, idx, method,
+                                                                   step, clip):
+    image = desk_test_set.images[idx]
+    ref = forward(desk_model, image).predicted_class
+    rmap = simplify(compute_map(desk_model, image, method, target=ref), image, stage=3)
+    expected = [gap(desk_model, image, ref, rmap, step, 2500, clip)]
+    search = ImageSearch(desk_model, image, ref, step, 2500, clip)
+    rows, boxes = _spy_engine(monkeypatch)
+    assert search.gaps([rmap]) == expected
+    first_rows = [x for xs in rows for x in xs]
+    assert not np.concatenate([f for _, _, f in boxes]).all()
+    rows.clear()
+    boxes.clear()
+    assert search.gaps([rmap]) == expected
+    # the replay certifies every recorded segment and runs the same blocks
+    assert np.concatenate([f for _, _, f in boxes]).all()
+    assert _multiset(x for xs in rows for x in xs) == _multiset(first_rows)
+
+
+# (image, method, step, clip) at cap 1000
+@pytest.mark.parametrize("idx, method, step, clip", [(0, "gradient", 1.0, False),
+                                                    (3, "gradient", 0.5, True),
+                                                    (36, "lrp", 1.0, False)])
+def test_a_plan_from_another_ray_keeps_the_scan_answer(desk_model, desk_test_set, idx, method,
+                                                       step, clip):
+    cap = 1000
+    image = desk_test_set.images[idx]
+    ref = forward(desk_model, image).predicted_class
+    rmap = simplify(compute_map(desk_model, image, method, target=ref), image, stage=3)
+    search = ImageSearch(desk_model, image, ref, step, cap, clip)
+    search.gaps([shuffle_map(rmap, idx)])  # records the shuffled map's plans
+    result = search.gaps([rmap])[0]
+    rays = apem_module._ray_pair(rmap, input_gradient(desk_model, image, ref))
+    scans = [find_epsilon_scan(desk_model, image, ref, ray, step, cap, clip) for ray in rays]
+    assert result == apem_module._gap_result(*scans)
 
 
 def test_gaps_skip_undefined_maps_without_a_search(monkeypatch):

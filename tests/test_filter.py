@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from apemkit.apem import gap
+from apemkit.apem import gap, gaps
 from apemkit.errors import InputShapeError, ZeroMapError
 from apemkit.explain import RelevanceMap, compute_map, simplify
+from apemkit import filtering
 from apemkit.filtering import filter_map
 from apemkit.netcore import forward
 
@@ -85,3 +86,34 @@ def test_filter_trace_is_deterministic():
     assert [ (i.threshold, i.zeroed, i.gap) for i in t1.iterations ] == [
         (i.threshold, i.zeroed, i.gap) for i in t2.iterations
     ]
+
+
+class _FreshGaps:
+    """Stands in for filter_map's ImageSearch: a fresh gaps() call per
+    candidate, with no plan carried from one candidate to the next."""
+
+    def __init__(self, net, image, ref, step, cap, clip):
+        self.args = net, image, ref
+        self.options = step, cap, clip
+
+    def gaps(self, maps):
+        return gaps(*self.args, maps, *self.options)
+
+
+# (image, method, step, clip) on the desk model at cap 2500: chains of 1 to
+# 39 accepted candidates, image 2's with capped rays
+@pytest.mark.parametrize("idx, method, step, clip", [(2, "gradient", 1.0, False),
+                                                    (6, "gradient", 0.5, True),
+                                                    (4, "lrp", 1.0, False),
+                                                    (9, "lrp", 0.5, True)])
+def test_filter_chain_state_gives_the_trace_of_fresh_gaps(monkeypatch, desk_model, desk_test_set,
+                                                          idx, method, step, clip):
+    image = desk_test_set.images[idx]
+    ref = forward(desk_model, image).predicted_class
+    rmap = simplify(compute_map(desk_model, image, method, target=ref), image, stage=3)
+    chained = filter_map(desk_model, image, ref, rmap, step, 2500, clip=clip)
+    monkeypatch.setattr(filtering, "ImageSearch", _FreshGaps)
+    fresh = filter_map(desk_model, image, ref, rmap, step, 2500, clip=clip)
+    assert chained.iterations and chained.iterations == fresh.iterations
+    assert (chained.original_gap, chained.final_gap) == (fresh.original_gap, fresh.final_gap)
+    assert chained.final_map.values.tobytes() == fresh.final_map.values.tobytes()

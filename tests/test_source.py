@@ -96,3 +96,28 @@ def test_unread_private_name_check_flags_only_unread_names():
     }
     assert unread_private_names(sources) == ["a.py:2: _UNUSED", "a.py:5: _Box",
                                              "a.py:7: _dense_only"]
+
+
+def call_sites(sources: dict[str, str], name: str) -> list[str]:
+    """`module:line` of each call to `name`, as a bare name or an attribute."""
+    return [f"{module}:{node.lineno}" for module, source in sources.items()
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+@pytest.mark.parametrize("engine_entry", ["certify_boxes", "forward_logits_batch"])
+def test_the_search_reaches_each_engine_entry_from_one_call_site(engine_entry):
+    # one search loop: the benchmark counts forward_logits_batch's calls as
+    # search rows, and a second loop would be a second schedule to keep right
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE if p.name != "netcore.py"}
+    assert len(call_sites(sources, engine_entry)) == 1
+
+
+def test_call_site_check_counts_bare_and_attribute_calls():
+    sources = {"a.py": ("from .netcore import certify_boxes\n"
+                        "flags = certify_boxes(net, lo, hi, 0)\n"
+                        "f = certify_boxes\n"),
+               "b.py": ("from . import netcore\n"
+                        "def again(net, lo, hi):\n"
+                        "    return netcore.certify_boxes(net, lo, hi, 0)\n")}
+    assert call_sites(sources, "certify_boxes") == ["a.py:2", "b.py:3"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputShapeError, ZeroMapError
+from .errors import InputShapeError, NumericError, ZeroMapError
 from .explain import RelevanceMap
 from .netcore import (
     Network,
@@ -126,9 +126,10 @@ def _certified(net: Network, image: np.ndarray, reference_class: int, rays: np.n
 
 
 def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[np.ndarray],
-            step: float, cap: int, clip: bool,
-            plans: list[dict[int, int]] | None = None) -> list[tuple[int, bool]]:
-    """find_epsilon's (k, capped) for every ray in r_dirs, searched in lockstep.
+            step: float, cap: int, clip: bool, plans: list[dict[int, int]] | None = None
+            ) -> tuple[list[tuple[int, bool]], list[dict[int, int]]]:
+    """find_epsilon's (k, capped) for every ray in r_dirs, searched in
+    lockstep, and the plan of each ray's search.
 
     Each ray keeps its own start and schedule. Each round stacks the exact
     blocks of all live rays into one row array, sliced into forward calls,
@@ -136,20 +137,20 @@ def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[
     row's logits and a segment's flag do not depend on their batch, so every
     ray evaluates exactly the rows and segments it would evaluate alone.
 
-    plans[i], if given, maps the start of every segment that certified on
-    ray i's previous search to its steps, and of every exact block that ran
-    to 0. A ray that reaches a recorded start takes that step once; anywhere
-    else, and after a replayed segment fails, the schedule applies. On
-    return, plans[i] holds this search's plan. The result does not depend on
-    the plans: every k below the returned one is certified or evaluated.
+    A ray's plan maps the start of every segment that certified to its
+    steps, and of every exact block that ran to 0. plans[i], if given, is
+    ray i's plan from a previous search: a ray that reaches a recorded start
+    takes that step once; anywhere else, and after a replayed segment fails,
+    the schedule applies. The results do not depend on the plans: every k
+    below the returned one is certified or evaluated. Raises NumericError
+    when a row has non-finite logits and no earlier row of its ray flips;
+    a row past the first flip never raises.
     """
     if not r_dirs:
-        return []
+        return [], []
     rays = np.stack(r_dirs)
-    plans = [{} for _ in rays] if plans is None else plans
-    recorded = [plan.copy() for plan in plans]
-    for plan in plans:
-        plan.clear()
+    recorded = [{} for _ in rays] if plans is None else [dict(plan) for plan in plans]
+    plans = [{} for _ in rays]
     found = [(cap, True)] * len(rays)
     # ray: (start, steps of its next segment, exact blocks to run before it,
     #       certified segments that keep their length)
@@ -171,9 +172,13 @@ def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[
             for i, block in blocks.items():
                 z, logits = logits[:len(block)], logits[len(block):]
                 plans[i][int(block[0])] = 0
-                flips = np.argmax(z, axis=1) != reference_class
-                if flips.any():
-                    found[i] = int(block[np.argmax(flips)]), False
+                ok = np.isfinite(z).all(axis=1)
+                stops = (np.argmax(z, axis=1) != reference_class) | ~ok
+                if stops.any():
+                    first = int(np.argmax(stops))
+                    if not ok[first]:
+                        raise NumericError(_non_finite(int(block[first]), step))
+                    found[i] = int(block[first]), False
                 elif block[-1] < cap:
                     _, steps, blocks_left, hold = live[i]
                     next_live[i] = int(block[-1]) + 1, steps, max(blocks_left - 1, 0), hold
@@ -193,7 +198,11 @@ def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[
                 else:  # (b)
                     next_live[i] = first, _FIRST_SEGMENT, 1 + (steps < _HALVE_ABOVE), _HOLD
         live = next_live
-    return found
+    return found, plans
+
+
+def _non_finite(k: int, step: float) -> str:
+    return f"non-finite logits at k = {k} along a search ray (step {step})"
 
 
 def find_epsilon(
@@ -234,11 +243,13 @@ def find_epsilon(
     at most 16 rows and its segments into certificate calls of at most 4;
     both give each ray the same rows, segments and result. ImageSearch
     replays a ray slot's previous plan instead, with the same result.
-    Raises InputShapeError on a non-finite image or ray.
+    Raises InputShapeError on a non-finite image or ray, and NumericError
+    when a row before the first flip has non-finite logits (once k * step
+    overflows, say).
     """
     image = _check_search(net, image, reference_class, step, cap)
     _check_ray(r_dir, image)
-    return _search(net, image, reference_class, [r_dir], step, cap, clip)[0]
+    return _search(net, image, reference_class, [r_dir], step, cap, clip)[0][0]
 
 
 def find_epsilon_scan(
@@ -251,7 +262,8 @@ def find_epsilon_scan(
     clip: bool = False,
 ) -> tuple[int, bool]:
     """Exhaustive linear scan over k = 1..cap, one forward per k; the
-    reference for find_epsilon's blocks and skips, on the same evaluator.
+    reference for find_epsilon's blocks and skips, on the same evaluator,
+    with the same NumericError at the first k whose logits are non-finite.
     O(cap) forward passes, use only at small caps."""
     image = _check_search(net, image, reference_class, step, cap)
     _check_ray(r_dir, image)
@@ -259,7 +271,10 @@ def find_epsilon_scan(
         x = image + r_dir * (k * step)
         if clip:
             x = np.clip(x, 0.0, 1.0)
-        if forward(net, x).predicted_class != reference_class:
+        pred = forward(net, x)
+        if not np.all(np.isfinite(pred.logits)):
+            raise NumericError(_non_finite(k, step))
+        if pred.predicted_class != reference_class:
             return k, False
     return cap, True
 
@@ -305,9 +320,9 @@ class ImageSearch:
 
     Each ray slot (a map's position in gaps(), relevance or irrelevance)
     keeps the plan of its last search, which the slot's next search replays
-    (see _search). A chain of similar maps, such as filter_map's candidates,
-    then skips the segments that failed on the previous map. The results do
-    not depend on the plans.
+    (see _search). A chain of similar maps, such as filter_map's original
+    map and then its candidates, then skips the segments that failed on the
+    previous map. The results do not depend on the plans.
     """
 
     def __init__(self, net: Network, image: np.ndarray, reference_class: int,
@@ -329,9 +344,10 @@ class ImageSearch:
                 pairs.append(None)
         slots = [(m, side) for m, pair in enumerate(pairs) if pair is not None for side in (0, 1)]
         rays = [pairs[m][side] for m, side in slots]
-        plans = [self.plans.setdefault(slot, {}) for slot in slots]
-        found = iter(_search(self.net, self.image, self.reference_class, rays, self.step,
-                             self.cap, self.clip, plans))
+        found, plans = _search(self.net, self.image, self.reference_class, rays, self.step,
+                               self.cap, self.clip, [self.plans.get(slot, {}) for slot in slots])
+        self.plans.update(zip(slots, plans))
+        found = iter(found)
         return [None if pair is None else _gap_result(next(found), next(found))
                 for pair in pairs]
 

@@ -21,7 +21,7 @@ from apemkit.apem import (
     normalize_l1,
     shuffle_map,
 )
-from apemkit.errors import InputShapeError, ZeroMapError
+from apemkit.errors import InputShapeError, NumericError, ZeroMapError
 from apemkit.explain import METHOD_NAMES, RelevanceMap, compute_map, simplify
 from apemkit.netcore import Dense, Network, ReLU, forward, input_gradient
 
@@ -360,6 +360,9 @@ def _tie_cases(draw):
 @example(([1.0, 1.0, 1.0], [10, 15, 20], [[1, -2, 1], [0, 0, 0]], [0, 3], 1.0, False))
 # the same pocket at half steps, far along the ray: k = 126..134
 @example(([1.0, 1.0, 1.0], [60, 65, 70], [[1, -2, 1], [0, 0, 0]], [0, 3], 0.5, False))
+# class 0 flips at k = 3, and k * step overflows at k = 4, in the flip's
+# block: the non-finite row past the flip must not raise
+@example(([1.0], [1.2e308], [[1], [0]], [0, 30], 5e307, False))
 def test_find_epsilon_matches_scan_on_exact_ties_and_pockets(case):
     signs, thresholds, out_weight, out_bias, step, clip = case
     net = _tie_net(signs, thresholds, out_weight, out_bias)
@@ -641,6 +644,25 @@ def test_searches_reject_non_finite_inputs(search, where, value):
     }[search]
     # every check comes before any arithmetic on the bad value
     with pytest.raises(InputShapeError, match="finite"), np.errstate(invalid="raise"):
+        run()
+
+
+# the NaN logits of a row that overflows before any flip once read as
+# class 0: a silent "capped" ray, or k = 1, depending on the reference class
+@pytest.mark.parametrize("search", ["gap", "gaps", "find_epsilon", "find_epsilon_scan"])
+def test_searches_raise_on_a_non_finite_row_before_the_flip(search):
+    net = random_net(4)
+    image = np.random.default_rng(4).uniform(0, 1, (1, 8, 8))
+    ref = forward(net, image).predicted_class
+    rmap, step = np.full((8, 8), 0.5), 1e308  # k * step overflows at k = 2
+    r_dir = apem_module._ray_pair(rmap, input_gradient(net, image, ref))[0]
+    run = {
+        "gap": lambda: gap(net, image, ref, rmap, step, 50),
+        "gaps": lambda: gaps(net, image, ref, [rmap], step, 50),
+        "find_epsilon": lambda: find_epsilon(net, image, ref, r_dir, step, 50),
+        "find_epsilon_scan": lambda: find_epsilon_scan(net, image, ref, r_dir, step, 50),
+    }[search]
+    with pytest.raises(NumericError, match="k = 2"), np.errstate(all="ignore"):
         run()
 
 

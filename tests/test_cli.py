@@ -248,6 +248,18 @@ def test_exit_code_3_on_idx_images_of_another_size(tmp_path, capsys):
     assert "(1, 32, 32) do not match network input (1, 28, 28)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "filter"])
+def test_exit_code_4_when_a_search_row_overflows(tmp_path, capsys, command):
+    # k * step overflows at k = 2, which a ray of this model reaches without
+    # a flip; its NaN rows once read as class 0, giving a capped ray or k = 1
+    args = [*TINY, "--n-images", "60", "--out", str(tmp_path)]
+    assert main(["train", *args]) == 0
+    with np.errstate(all="ignore"):
+        assert main([command, *args, "--limit", "3", "--step", "1e308", "--cap", "20",
+                     "--methods", "gradient,lrp"]) == 4
+    assert "numeric failure: non-finite logits at k = " in capsys.readouterr().err
+
+
 def test_exit_code_3_on_malformed_per_image_csv(tmp_path):
     results = tmp_path / "results"
     results.mkdir()

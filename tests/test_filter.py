@@ -1,9 +1,11 @@
 """Gap-preserving map filtering."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from apemkit.apem import gap, gaps
+from apemkit.apem import ImageSearch, gap, gaps
 from apemkit.errors import InputShapeError, ZeroMapError
 from apemkit.explain import RelevanceMap, compute_map, simplify
 from apemkit import filtering
@@ -11,6 +13,8 @@ from apemkit.filtering import filter_map
 from apemkit.netcore import forward
 
 from conftest import random_net
+
+apem = importlib.import_module("apemkit.apem")  # the package also exports a function `apem`
 
 
 def _case(seed, size=8):
@@ -74,8 +78,10 @@ def test_filter_rejects_bad_batch_fraction_and_zero_maps():
     net, image, ref, rmap = _case(13)
     with pytest.raises(InputShapeError):
         filter_map(net, image, ref, rmap, batch_fraction=0.0)
-    with pytest.raises(ZeroMapError):
-        filter_map(net, image, ref, RelevanceMap(values=np.zeros((8, 8)), stage=3))
+    # an all-zero map, and an all-ones map, whose irrelevance is all zero
+    for value in (0.0, 1.0):
+        with pytest.raises(ZeroMapError, match="filter inapplicable"):
+            filter_map(net, image, ref, RelevanceMap(values=np.full((8, 8), value), stage=3))
 
 
 def test_filter_trace_is_deterministic():
@@ -117,3 +123,25 @@ def test_filter_chain_state_gives_the_trace_of_fresh_gaps(monkeypatch, desk_mode
     assert chained.iterations and chained.iterations == fresh.iterations
     assert (chained.original_gap, chained.final_gap) == (fresh.original_gap, fresh.final_gap)
     assert chained.final_map.values.tobytes() == fresh.final_map.values.tobytes()
+
+
+def test_a_chain_checks_its_image_and_takes_its_gradient_once(monkeypatch, desk_model,
+                                                             desk_test_set):
+    image = desk_test_set.images[2]
+    ref = forward(desk_model, image).predicted_class
+    rmap = simplify(compute_map(desk_model, image, "gradient", target=ref), image, stage=3)
+    calls = {"forward": 0, "input_gradient": 0, "gaps": 0}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(apem, "forward", spy("forward", apem.forward))
+    monkeypatch.setattr(apem, "input_gradient", spy("input_gradient", apem.input_gradient))
+    monkeypatch.setattr(ImageSearch, "gaps", spy("gaps", ImageSearch.gaps))
+    trace = filter_map(desk_model, image, ref, rmap, 1.0, 2500)
+    # the original map, every accepted candidate and the one that ends the chain
+    assert trace.iterations and calls == {"forward": 1, "input_gradient": 1,
+                                          "gaps": len(trace.iterations) + 2}

@@ -113,6 +113,14 @@ def test_the_search_reaches_each_engine_entry_from_one_call_site(engine_entry):
     assert len(call_sites(sources, engine_entry)) == 1
 
 
+def test_the_package_searches_only_through_image_search():
+    # filter_map and the CLI score every map with ImageSearch.gaps; gap stays
+    # a public one-map entry, and find_epsilon is called only inside apem
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert call_sites(sources, "gap") == []
+    assert {site.split(":")[0] for site in call_sites(sources, "find_epsilon")} == {"apem.py"}
+
+
 def test_call_site_check_counts_bare_and_attribute_calls():
     sources = {"a.py": ("from .netcore import certify_boxes\n"
                         "flags = certify_boxes(net, lo, hi, 0)\n"

@@ -104,25 +104,98 @@ def _points(image: np.ndarray, rays: np.ndarray, ks: np.ndarray, step: float, cl
     return np.clip(xs, 0.0, 1.0) if clip else xs
 
 
-def _sliced_logits(net: Network, xs: np.ndarray) -> np.ndarray:
-    """Logits of the rows xs, in forward calls of at most _CALL_ROWS rows."""
-    return np.concatenate([forward_logits_batch(net, xs[i:i + _CALL_ROWS])
-                           for i in range(0, len(xs), _CALL_ROWS)])
+def _block_logits(net: Network, image: np.ndarray, rays: np.ndarray,
+                  blocks: list[tuple[int, int, int]], step: float, clip: bool) -> list[np.ndarray]:
+    """The logits of each exact block (ray, first, last): its rows
+    image + rays[ray] * (k * step) for k = first..last, clipped with clip.
+
+    The rows of all the blocks run in forward calls of at most _CALL_ROWS
+    rows, and each call's rows are built from its own slice of the ks.
+    """
+    sizes = [last - first + 1 for _, first, last in blocks]
+    of = np.repeat([ray for ray, _, _ in blocks], sizes)
+    ks = np.concatenate([np.arange(first, last + 1) for _, first, last in blocks])
+    logits = np.concatenate([
+        forward_logits_batch(net, _points(image, rays[of[i:i + _CALL_ROWS]], ks[i:i + _CALL_ROWS],
+                                          step, clip))
+        for i in range(0, len(ks), _CALL_ROWS)])
+    return np.split(logits, np.cumsum(sizes)[:-1])
 
 
 def _certified(net: Network, image: np.ndarray, reference_class: int, rays: np.ndarray,
-               firsts: np.ndarray, lasts: np.ndarray, step: float, clip: bool) -> np.ndarray:
-    """Flags: True where no k in [firsts[i], lasts[i]] flips the prediction
-    along rays[i], in certificate calls of at most _CALL_SEGMENTS segments.
+               segments: list[tuple[int, int, int]], step: float, clip: bool) -> np.ndarray:
+    """Flags: True where no k in [first, last] flips the prediction along
+    rays[ray], for each segment (ray, first, last), in certificate calls of
+    at most _CALL_SEGMENTS segments, each call's boxes built from its own
+    slice of the segments.
 
     The box between the end points holds every point of the segment exactly,
     because float +, * and clip are monotone in k.
     """
-    ends = (_points(image, rays, firsts, step, clip), _points(image, rays, lasts, step, clip))
-    lo, hi = np.minimum(*ends), np.maximum(*ends)
-    return np.concatenate([
-        certify_boxes(net, lo[i:i + _CALL_SEGMENTS], hi[i:i + _CALL_SEGMENTS], reference_class)
-        for i in range(0, len(lo), _CALL_SEGMENTS)])
+    flags = []
+    for i in range(0, len(segments), _CALL_SEGMENTS):
+        of, firsts, lasts = np.array(segments[i:i + _CALL_SEGMENTS]).T
+        ends = (_points(image, rays[of], firsts, step, clip),
+                _points(image, rays[of], lasts, step, clip))
+        flags.append(certify_boxes(net, np.minimum(*ends), np.maximum(*ends), reference_class))
+    return np.concatenate(flags)
+
+
+def _pieces(recorded: dict[int, int], state: tuple, cap: int) -> list[tuple[int, int, int]]:
+    """The pieces (first, last, steps) a ray at state takes in one round: a
+    segment of `steps` steps, or an exact block where steps is 0.
+
+    At a recorded start, the whole chain of recorded pieces from it, popped
+    from recorded: each piece's last + 1 is the next one's first, up to cap.
+    Anywhere else, the schedule's one piece.
+    """
+    start, steps, blocks_left, _ = state
+    if start not in recorded:
+        steps = 0 if blocks_left else steps
+        return [(start, min(start + (steps or _BLOCK) - 1, cap), steps)]
+    pieces = []
+    while start <= cap and start in recorded:
+        steps = recorded.pop(start)
+        pieces.append((start, min(start + (steps or _BLOCK) - 1, cap), steps))
+        start = pieces[-1][1] + 1
+    return pieces
+
+
+def _advance(state: tuple, first: int, last: int, steps: int, outcome, plan: dict[int, int],
+             reference_class: int, cap: int, step: float):
+    """The schedule's one transition: a ray's (next state, result) after
+    its piece [first, last], an exact block (steps 0) whose rows' logits
+    are outcome, or a segment whose certificate flag is outcome.
+
+    The piece goes into plan when it ran or certified. The next state is
+    None once the ray is done, and its result (k, capped) is then returned
+    in place of None. Raises NumericError when a row of the block has
+    non-finite logits and no earlier row of it flips.
+    """
+    _, next_steps, blocks_left, hold = state
+    if not steps:
+        plan[first] = 0
+        ok = np.isfinite(outcome).all(axis=1)
+        stops = (np.argmax(outcome, axis=1) != reference_class) | ~ok
+        if stops.any():
+            j = int(np.argmax(stops))
+            if not ok[j]:
+                raise NumericError(_non_finite(first + j, step))
+            return None, (first + j, False)
+        if last == cap:
+            return None, (cap, True)
+        return (last + 1, next_steps, max(blocks_left - 1, 0), hold), None
+    steps = last - first + 1
+    if outcome:
+        plan[first] = steps
+        if last == cap:
+            return None, (cap, True)
+        # doubles, or keeps its length while hold lasts (a)
+        return (last + 1, steps if hold else min(2 * steps, _MAX_SEGMENT), 0,
+                max(hold - 1, 0)), None
+    if steps > _HALVE_ABOVE:
+        return (first, steps // 2, 0, _HOLD), None
+    return (first, _FIRST_SEGMENT, 1 + (steps < _HALVE_ABOVE), _HOLD), None  # (b)
 
 
 def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[np.ndarray],
@@ -139,64 +212,53 @@ def _search(net: Network, image: np.ndarray, reference_class: int, r_dirs: list[
 
     A ray's plan maps the start of every segment that certified to its
     steps, and of every exact block that ran to 0. plans[i], if given, is
-    ray i's plan from a previous search: a ray that reaches a recorded start
-    takes that step once; anywhere else, and after a replayed segment fails,
-    the schedule applies. The results do not depend on the plans: every k
-    below the returned one is certified or evaluated. Raises NumericError
-    when a row has non-finite logits and no earlier row of its ray flips;
-    a row past the first flip never raises.
+    ray i's plan from a previous search. A ray that reaches a recorded
+    start takes the whole recorded chain from it in one round (see
+    _pieces), then goes through the chain's pieces in order, by the same
+    transition as the schedule's (_advance), up to its first flip, the cap
+    or a failed segment. The pieces past that stop go back into the ray's
+    recorded plan, unread: their rows and boxes were speculative. Anywhere
+    else, and after a replayed segment fails, the schedule applies. So each
+    ray takes the pieces, states and results of a replay that takes one
+    recorded step per round, and the results do not depend on the plans:
+    every k below the returned one is certified or evaluated. Raises
+    NumericError when a row has non-finite logits and no earlier row of its
+    ray flips; a row past the first flip never raises.
     """
     if not r_dirs:
         return [], []
     rays = np.stack(r_dirs)
     recorded = [{} for _ in rays] if plans is None else [dict(plan) for plan in plans]
     plans = [{} for _ in rays]
-    found = [(cap, True)] * len(rays)
+    found = [None] * len(rays)  # (k, capped), from the _advance that ends the ray
     # ray: (start, steps of its next segment, exact blocks to run before it,
     #       certified segments that keep their length)
     live = {i: (1, _FIRST_SEGMENT, 0, 0) for i in range(len(rays))}
     while live:
-        taken = {}  # ray: the steps of the segment it takes now, 0 for an exact block
-        for i, (start, steps, blocks_left, _) in live.items():
-            replayed = recorded[i].pop(start, None)
-            taken[i] = replayed if replayed is not None else 0 if blocks_left else steps
-        blocks = {i: np.arange(live[i][0], min(live[i][0] + _BLOCK - 1, cap) + 1)
-                  for i, steps in taken.items() if not steps}
-        segments = {i: (live[i][0], min(live[i][0] + steps - 1, cap))
-                    for i, steps in taken.items() if steps}
-        next_live = {}
+        taken = {i: _pieces(recorded[i], state, cap) for i, state in live.items()}
+        blocks, segments = [], []
+        for i, pieces in taken.items():
+            for first, last, steps in pieces:
+                (segments if steps else blocks).append((i, first, last))
+        outcomes = {}  # (ray, first): a block's logits or a segment's flag
         if blocks:
-            ray_of_row = np.repeat(list(blocks), [len(block) for block in blocks.values()])
-            ks = np.concatenate(list(blocks.values()))
-            logits = _sliced_logits(net, _points(image, rays[ray_of_row], ks, step, clip))
-            for i, block in blocks.items():
-                z, logits = logits[:len(block)], logits[len(block):]
-                plans[i][int(block[0])] = 0
-                ok = np.isfinite(z).all(axis=1)
-                stops = (np.argmax(z, axis=1) != reference_class) | ~ok
-                if stops.any():
-                    first = int(np.argmax(stops))
-                    if not ok[first]:
-                        raise NumericError(_non_finite(int(block[first]), step))
-                    found[i] = int(block[first]), False
-                elif block[-1] < cap:
-                    _, steps, blocks_left, hold = live[i]
-                    next_live[i] = int(block[-1]) + 1, steps, max(blocks_left - 1, 0), hold
+            outcomes.update(zip([(i, first) for i, first, _ in blocks],
+                                _block_logits(net, image, rays, blocks, step, clip)))
         if segments:
-            firsts, lasts = np.array(list(segments.values())).T
-            certified = _certified(net, image, reference_class, rays[list(segments)],
-                                   firsts, lasts, step, clip)
-            for (i, (first, last)), ok in zip(segments.items(), certified):
-                steps, hold = last - first + 1, live[i][3]
-                if ok:
-                    plans[i][int(first)] = int(steps)
-                    if last < cap:  # doubles, or keeps its length while hold lasts (a)
-                        next_live[i] = (last + 1, steps if hold else min(2 * steps, _MAX_SEGMENT),
-                                        0, max(hold - 1, 0))
-                elif steps > _HALVE_ABOVE:
-                    next_live[i] = first, steps // 2, 0, _HOLD
-                else:  # (b)
-                    next_live[i] = first, _FIRST_SEGMENT, 1 + (steps < _HALVE_ABOVE), _HOLD
+            outcomes.update(zip([(i, first) for i, first, _ in segments],
+                                _certified(net, image, reference_class, rays, segments, step,
+                                           clip)))
+        next_live = {}
+        for i, pieces in taken.items():
+            state = live[i]
+            for first, last, steps in pieces:
+                if state is None or state[0] != first:  # stopped before this piece
+                    recorded[i][first] = steps
+                    continue
+                state, found[i] = _advance(state, first, last, steps, outcomes[i, first],
+                                           plans[i], reference_class, cap, step)
+            if state is not None:
+                next_live[i] = state
         live = next_live
     return found, plans
 
@@ -320,9 +382,12 @@ class ImageSearch:
 
     Each ray slot (a map's position in gaps(), relevance or irrelevance)
     keeps the plan of its last search, which the slot's next search replays
-    (see _search). A chain of similar maps, such as filter_map's original
-    map and then its candidates, then skips the segments that failed on the
-    previous map. The results do not depend on the plans.
+    (see _search): a ray takes the plan's recorded chain in one round, one
+    certificate batch and one row array, up to its first flip, the cap or
+    a failed segment. A chain of similar maps, such as filter_map's
+    original map and then its candidates, then skips the segments that
+    failed on the previous map, in few and full engine calls. The results
+    do not depend on the plans.
     """
 
     def __init__(self, net: Network, image: np.ndarray, reference_class: int,

@@ -208,17 +208,25 @@ def _init_worker(net: Network, cfg: RunConfig):
     _WORKER_STATE["net"], _WORKER_STATE["cfg"] = net, cfg
 
 
+def _run_task(fn, net: Network, cfg: RunConfig, task):
+    # a search row that overflows is a NumericError, reported once as the
+    # "numeric failure:" line, not after NumPy's RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn(net, cfg, *task)
+
+
 def _pool_task(fn, task):
-    return fn(_WORKER_STATE["net"], _WORKER_STATE["cfg"], *task)
+    return _run_task(fn, _WORKER_STATE["net"], _WORKER_STATE["cfg"], task)
 
 
 def run_pool(cfg: RunConfig, net: Network, fn, tasks: list) -> list:
-    """fn(net, cfg, *task) for each task, in task order. The tasks run in
+    """fn(net, cfg, *task) for each task, in task order, with NumPy's
+    overflow and invalid-value warnings off. The tasks run in
     min(cfg.workers or the processor count, len(tasks)) processes, or in
     this process when that is 1; a task's exception is raised here."""
     workers = min(cfg.workers or os.cpu_count() or 1, len(tasks))
     if workers <= 1:
-        return [fn(net, cfg, *task) for task in tasks]
+        return [_run_task(fn, net, cfg, task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(net, cfg)) as pool:
         return list(pool.map(partial(_pool_task, fn), tasks, chunksize=1))

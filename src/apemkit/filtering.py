@@ -53,8 +53,9 @@ def filter_map(
     The original map and every candidate of the chain are scored through
     one ImageSearch, so the checks and the loss gradient are done once per
     chain, and each map's rays replay the plan of the previous map's: its
-    certified segments and exact blocks, without the segments that failed.
-    The trace equals that of a fresh gaps() call per map. Raises
+    certified segments and exact blocks, without the segments that failed,
+    each ray's recorded chain taken in one round of engine calls. The trace
+    equals that of a fresh gaps() call per map. Raises
     ZeroMapError when rmap (or its irrelevance) is all zero.
     """
     if not 0 < batch_fraction <= 1:

@@ -274,7 +274,9 @@ def _layer_forward(layer: Layer, x: np.ndarray, route: bool = False):
         # batch size, which one product over the whole batch would not give
         cols, spatial = _im2col(layer, x)
         wmat = layer.weight.reshape(layer.weight.shape[0], -1)
-        y = (np.matmul(wmat, cols) + layer.bias[:, None]).reshape(b, -1, *spatial)
+        y = np.matmul(wmat, cols)
+        y += layer.bias[:, None]  # in place, so the layer holds one output-sized array
+        y = y.reshape(b, -1, *spatial)
         aux = cols if route else None
     elif layer.kind == "relu":
         y = np.maximum(x, 0.0)
@@ -401,7 +403,8 @@ def certify_boxes(net: Network, lo: np.ndarray, hi: np.ndarray,
         centre_radius = np.concatenate([bounds[:b] + bounds[b:], bounds[b:] - bounds[:b]]) / 2
         cols, spatial = _im2col(layer, centre_radius)
         w = w.reshape(w.shape[0], -1)
-        centre = np.matmul(w, cols[:b]) + bias[:, None]
+        centre = np.matmul(w, cols[:b])
+        centre += bias[:, None]
         radius = np.matmul(np.abs(w), cols[b:])
         if i < last:
             bounds = np.concatenate([(centre - radius).reshape(b, -1, *spatial),

@@ -1,6 +1,7 @@
 """Gap computation: normalization, directed rays, and the epsilon search."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -374,6 +375,35 @@ def test_find_epsilon_matches_scan_on_exact_ties_and_pockets(case):
     assert fast == find_epsilon_scan(net, image, ref, r_dir, step, cap, clip)
 
 
+# A ray at a recorded start takes the plan's whole chain in one round: here
+# a segment, two blocks and a segment, whose rows and boxes past the ray's
+# stop are speculative. Along the tie net's ray at this step k * step
+# overflows from k = 4, where class 0 has flipped since k = 3 (out weight
+# 1) or has not flipped (out weight -1): only the second raises, at k = 4
+@pytest.mark.parametrize("class_0_weight, expected", [(1, (3, False)), (-1, "k = 4")])
+def test_a_replayed_chain_raises_only_before_the_flip(monkeypatch, class_0_weight, expected):
+    net = _tie_net([1.0], [1.2e308], [[class_0_weight], [0]], [0, 30])
+    image, r_dir, step, cap = np.zeros(1), np.full(1, 1.0 / 64.0), 5e307, 50
+    ref = forward(net, image).predicted_class
+    rows, boxes = _spy_engine(monkeypatch)
+
+    def search():
+        return apem_module._search(net, image, ref, [r_dir], step, cap, False,
+                                   [{1: 2, 3: 0, 7: 0, 11: 8}])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(expected, str):
+            with pytest.raises(NumericError, match=expected):
+                search()
+            with pytest.raises(NumericError, match=expected):
+                find_epsilon_scan(net, image, ref, r_dir, step, cap)
+        else:
+            assert search() == ([expected], [{1: 2, 3: 0}])
+            assert find_epsilon_scan(net, image, ref, r_dir, step, cap) == expected
+    # one round: both blocks in one forward call, both segments in one certificate call
+    assert [len(xs) for xs in rows] == [8] and [len(lo) for lo, _, _ in boxes] == [2]
+
+
 @st.composite
 def _segment_cases(draw):
     dense = draw(st.booleans())
@@ -397,8 +427,8 @@ def test_a_certified_segment_holds_no_flip(case):
     image = rng.uniform(0, 1, net.input_shape)
     r_dir = rng.normal(0, scale, net.input_shape)
     ref = forward(net, image).predicted_class
-    certified = apem_module._certified(net, image, ref, r_dir[None], np.array([first]),
-                                       np.array([last]), step, clip)
+    certified = apem_module._certified(net, image, ref, r_dir[None], [(0, first, last)], step,
+                                       clip)
     if certified[0]:
         for k in range(first, last + 1):
             x = image + r_dir * (k * step)
@@ -564,6 +594,10 @@ def test_a_search_state_replays_its_plan_without_a_failed_segment(monkeypatch, d
     # the replay certifies every recorded segment and runs the same blocks
     assert np.concatenate([f for _, _, f in boxes]).all()
     assert _multiset(x for xs in rows for x in xs) == _multiset(first_rows)
+    # in one round: the fewest certificate and forward calls that hold them
+    segments, n_rows = sum(len(lo) for lo, _, _ in boxes), sum(map(len, rows))
+    assert len(boxes) == math.ceil(segments / apem_module._CALL_SEGMENTS)
+    assert len(rows) == math.ceil(n_rows / apem_module._CALL_ROWS)
 
 
 # (image, method, step, clip) at cap 1000

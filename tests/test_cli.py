@@ -4,7 +4,11 @@ import csv
 import gzip
 import json
 import os
+import subprocess
+import sys
+import warnings
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,10 +258,23 @@ def test_exit_code_4_when_a_search_row_overflows(tmp_path, capsys, command):
     # a flip; its NaN rows once read as class 0, giving a capped ray or k = 1
     args = [*TINY, "--n-images", "60", "--out", str(tmp_path)]
     assert main(["train", *args]) == 0
-    with np.errstate(all="ignore"):
-        assert main([command, *args, "--limit", "3", "--step", "1e308", "--cap", "20",
-                     "--methods", "gradient,lrp"]) == 4
+    search = [command, *args, "--limit", "3", "--step", "1e308", "--cap", "20",
+              "--methods", "gradient,lrp"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(search) == 4
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert "numeric failure: non-finite logits at k = " in capsys.readouterr().err
+    # and on the pool, whose workers share this process's stderr: no NumPy
+    # RuntimeWarning comes before the numeric failure line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", "import sys; from apemkit.cli import main; "
+                          "sys.exit(main(sys.argv[1:]))", *search, "--workers", "2"],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 4
+    assert "numeric failure: non-finite logits at k = " in run.stderr
+    assert "RuntimeWarning" not in run.stderr
 
 
 def test_exit_code_3_on_malformed_per_image_csv(tmp_path):
